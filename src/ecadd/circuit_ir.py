@@ -14,11 +14,19 @@ the same recurrence but only T/T-dagger gates take time.  A second,
 Clifford+T realization: gate counts are exact, while depth and T-depth
 charge every Toffoli 8 depth units / 4 T-stages as a block, which is how
 composition bounds for Toffoli-level constructions are accounted.
+
+``metrics`` takes every figure in one pass over the gate list, branching
+on the gate kind.  Alongside the four global per-wire levels it keeps a
+fifth, relative level, reset to zero on every wire at the start of each
+top-level group; the largest relative level when the group ends is the
+group's own depth, the depth it would have as a circuit by itself.
+Per-kind counts of the circuit and of each group come from the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 NOT, CNOT, TOFFOLI, H, T, T_DAGGER, S, S_DAGGER = range(8)
 
@@ -316,69 +324,92 @@ class ResourceReport:
     bounds: dict = field(default=None)
 
 
-def _schedule(gates, width):
-    """Return (depth, t_depth, block_depth, block_t_depth) of a gate list.
+def _sweep(gates, count, levels, total):
+    """Schedule the next ``count`` gates of the iterator ``gates``.
 
-    The block figures are the decomposed-equivalent schedule where each
-    Toffoli occupies 8 depth units and 4 T-stages on all three wires.
+    ``levels`` holds the four global per-wire levels: depth, T-depth and
+    their block-accounted counterparts, where a Toffoli takes 8 depth
+    units and 4 T-stages on all three wires.  They are advanced in place,
+    and the span's per-kind counts are added to ``total``.  Returns the
+    span's counts and its own depth, measured on levels that start at
+    zero on every wire.
     """
-    level = [0] * width
-    tlevel = [0] * width
-    blevel = [0] * width
-    btlevel = [0] * width
-    for g in gates:
+    level, tlevel, blevel, btlevel = levels
+    rel = [0] * len(level)
+    counts = [0] * len(KIND_NAMES)
+    for g in islice(gates, count):
         k = g[0]
-        ws = g[1:]
-        if k == TOFFOLI:
-            dur, tdur, bdur, btdur = 1, 0, TOFFOLI_DECOMP_DEPTH, TOFFOLI_DECOMP_T_DEPTH
-        elif k == T or k == T_DAGGER:
-            dur, tdur, bdur, btdur = 1, 1, 1, 1
+        counts[k] += 1
+        if k == CNOT:
+            _, a, b = g
+            x, y = level[a], level[b]
+            level[a] = level[b] = (x if x > y else y) + 1
+            x, y = tlevel[a], tlevel[b]
+            tlevel[a] = tlevel[b] = x if x > y else y
+            x, y = blevel[a], blevel[b]
+            blevel[a] = blevel[b] = (x if x > y else y) + 1
+            x, y = btlevel[a], btlevel[b]
+            btlevel[a] = btlevel[b] = x if x > y else y
+            x, y = rel[a], rel[b]
+            rel[a] = rel[b] = (x if x > y else y) + 1
+        elif k == TOFFOLI:
+            _, a, b, c = g
+            x, y, z = level[a], level[b], level[c]
+            if y > x:
+                x = y
+            level[a] = level[b] = level[c] = (x if x > z else z) + 1
+            x, y, z = tlevel[a], tlevel[b], tlevel[c]
+            if y > x:
+                x = y
+            tlevel[a] = tlevel[b] = tlevel[c] = x if x > z else z
+            x, y, z = blevel[a], blevel[b], blevel[c]
+            if y > x:
+                x = y
+            blevel[a] = blevel[b] = blevel[c] = \
+                (x if x > z else z) + TOFFOLI_DECOMP_DEPTH
+            x, y, z = btlevel[a], btlevel[b], btlevel[c]
+            if y > x:
+                x = y
+            btlevel[a] = btlevel[b] = btlevel[c] = \
+                (x if x > z else z) + TOFFOLI_DECOMP_T_DEPTH
+            x, y, z = rel[a], rel[b], rel[c]
+            if y > x:
+                x = y
+            rel[a] = rel[b] = rel[c] = (x if x > z else z) + 1
         else:
-            dur, tdur, bdur, btdur = 1, 0, 1, 0
-        if len(ws) == 1:
-            w0 = ws[0]
-            level[w0] += dur
-            tlevel[w0] += tdur
-            blevel[w0] += bdur
-            btlevel[w0] += btdur
-        else:
-            lv = max(level[w] for w in ws) + dur
-            tl = max(tlevel[w] for w in ws) + tdur
-            bl = max(blevel[w] for w in ws) + bdur
-            btl = max(btlevel[w] for w in ws) + btdur
-            for w in ws:
-                level[w] = lv
-                tlevel[w] = tl
-                blevel[w] = bl
-                btlevel[w] = btl
-    return (
-        max(level, default=0),
-        max(tlevel, default=0),
-        max(blevel, default=0),
-        max(btlevel, default=0),
-    )
+            _, a = g
+            level[a] += 1
+            blevel[a] += 1
+            rel[a] += 1
+            if k == T or k == T_DAGGER:
+                tlevel[a] += 1
+                btlevel[a] += 1
+    for k, c in enumerate(counts):
+        total[k] += c
+    return counts, max(rel, default=0)
 
 
 def metrics(circuit: Circuit) -> ResourceReport:
-    """Exact resource report for a circuit."""
-    circuit.check_closed()
-    counts = [0] * len(KIND_NAMES)
-    for g in circuit._gates:
-        counts[g[0]] += 1
-    depth, t_depth, b_depth, bt_depth = _schedule(circuit._gates, circuit.width)
+    """Exact resource report for a circuit, in one pass over its gates.
 
+    The gates are taken in spans: each top-level group, and the gaps
+    between them.  Every span advances the global schedule and yields
+    its own counts and depth; only the groups' figures are reported.
+    """
+    circuit.check_closed()
+    levels = tuple([0] * circuit.width for _ in range(4))
+    gates = iter(circuit._gates)
+    counts = [0] * len(KIND_NAMES)
     subs = []
+    pos = 0
     for grp in circuit.top_level_groups():
-        span = circuit._gates[grp.start:grp.end]
-        gcounts = [0] * len(KIND_NAMES)
-        for g in span:
-            gcounts[g[0]] += 1
-        gdepth, _, _, _ = _schedule(span, circuit.width)
-        subs.append(GroupMetrics(
-            grp.label,
-            {KIND_NAMES[k]: gcounts[k] for k in range(len(KIND_NAMES))},
-            gdepth,
-        ))
+        _sweep(gates, grp.start - pos, levels, counts)
+        gcounts, gdepth = _sweep(gates, grp.end - grp.start, levels, counts)
+        pos = grp.end
+        subs.append(GroupMetrics(grp.label, dict(zip(KIND_NAMES, gcounts)),
+                                 gdepth))
+    _sweep(gates, len(circuit._gates) - pos, levels, counts)
+    depth, t_depth, b_depth, bt_depth = (max(lv, default=0) for lv in levels)
 
     tof = counts[TOFFOLI]
     dcounts = {KIND_NAMES[k]: counts[k] for k in range(len(KIND_NAMES))}

@@ -136,6 +136,16 @@ def report_to_json(job: JobSpec, report) -> dict:
     }
 
 
+def _write_file(path: str, text: str):
+    """Write ``text`` to ``path``; a path that cannot be written to is a
+    validation error."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_synth(args) -> int:
     job = _job_from_args(args)
     try:
@@ -146,11 +156,9 @@ def cmd_synth(args) -> int:
     base = out[:-3] if out.endswith(".qc") else out
     qc_path = base + ".qc"
     report_path = base + ".report.json"
-    with open(qc_path, "w", newline="\n") as fh:
-        fh.write(write_qc(circuit))
-    with open(report_path, "w", newline="\n") as fh:
-        json.dump(report_to_json(job, report), fh, indent=2)
-        fh.write("\n")
+    _write_file(qc_path, write_qc(circuit))
+    _write_file(report_path,
+                json.dumps(report_to_json(job, report), indent=2) + "\n")
     print(f"wrote {qc_path} and {report_path}")
     return EXIT_OK
 
@@ -184,13 +192,14 @@ def cmd_tables(args) -> int:
     rows = tables_rows(args.kind)
     sys.stdout.write(format_table(args.kind, rows))
     if args.json:
-        with open(args.json, "w", newline="\n") as fh:
-            json.dump({"schema": 1, "kind": args.kind, "rows": rows}, fh, indent=2)
-            fh.write("\n")
+        _write_file(args.json, json.dumps(
+            {"schema": 1, "kind": args.kind, "rows": rows}, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if not args.exhaustive and args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     job = _job_from_args(args)
     if job.field.n > 20:
         raise ValidationError("verification is limited to n <= 20")

@@ -333,6 +333,8 @@ def verify_point_add(circuit: Circuit, curve: Curve, p2: AffinePoint,
     satisfies the generic-case precondition (small n only); otherwise
     ``samples`` seeded random representatives are drawn.
     """
+    if not exhaustive and samples < 1:
+        raise SynthesisError(f"sample count must be at least 1, got {samples}")
     fld = curve.field
     n = fld.n
     layout = layout_for(n)

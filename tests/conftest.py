@@ -11,7 +11,17 @@ import random
 
 import pytest
 
-from ecadd.circuit_ir import CNOT, NOT, TOFFOLI, Circuit
+from ecadd.circuit_ir import (
+    CNOT,
+    KIND_NAMES,
+    NOT,
+    T,
+    T_DAGGER,
+    TOFFOLI,
+    TOFFOLI_DECOMP_DEPTH,
+    TOFFOLI_DECOMP_T_DEPTH,
+    Circuit,
+)
 from ecadd.gf2field import IrreduciblePoly
 
 
@@ -185,6 +195,69 @@ def ref_simulate(circuit: Circuit, state: int) -> int:
             raise AssertionError(f"non-classical gate {g.name}")
     out = [bits[p] for p in circuit.out_permutation]
     return sum(b << i for i, b in enumerate(out))
+
+
+# ----------------------------------------------------------------------
+# Reference schedule: a general four-array pass, run again on each group
+# ----------------------------------------------------------------------
+
+def ref_schedule(gates, width):
+    """Return (depth, t_depth, block_depth, block_t_depth) of a gate list.
+
+    The block figures are the decomposed-equivalent schedule where each
+    Toffoli occupies 8 depth units and 4 T-stages on all three wires.
+    """
+    level = [0] * width
+    tlevel = [0] * width
+    blevel = [0] * width
+    btlevel = [0] * width
+    for g in gates:
+        k = g[0]
+        ws = g[1:]
+        if k == TOFFOLI:
+            dur, tdur, bdur, btdur = 1, 0, TOFFOLI_DECOMP_DEPTH, TOFFOLI_DECOMP_T_DEPTH
+        elif k == T or k == T_DAGGER:
+            dur, tdur, bdur, btdur = 1, 1, 1, 1
+        else:
+            dur, tdur, bdur, btdur = 1, 0, 1, 0
+        if len(ws) == 1:
+            w0 = ws[0]
+            level[w0] += dur
+            tlevel[w0] += tdur
+            blevel[w0] += bdur
+            btlevel[w0] += btdur
+        else:
+            lv = max(level[w] for w in ws) + dur
+            tl = max(tlevel[w] for w in ws) + tdur
+            bl = max(blevel[w] for w in ws) + bdur
+            btl = max(btlevel[w] for w in ws) + btdur
+            for w in ws:
+                level[w] = lv
+                tlevel[w] = tl
+                blevel[w] = bl
+                btlevel[w] = btl
+    return (
+        max(level, default=0),
+        max(tlevel, default=0),
+        max(blevel, default=0),
+        max(btlevel, default=0),
+    )
+
+
+def ref_metrics(circuit: Circuit):
+    """((depth, t_depth, block_depth, block_t_depth), subcircuits) with one
+    (label, counts, depth) per top-level group, each group scheduled
+    again on its own slice of the gate list."""
+    gates = circuit.gate_tuples()
+    subs = []
+    for grp in circuit.top_level_groups():
+        span = gates[grp.start:grp.end]
+        counts = {name: 0 for name in KIND_NAMES}
+        for g in span:
+            counts[KIND_NAMES[g[0]]] += 1
+        subs.append((grp.label, counts,
+                     ref_schedule(span, circuit.width)[0]))
+    return ref_schedule(gates, circuit.width), subs
 
 
 # ----------------------------------------------------------------------

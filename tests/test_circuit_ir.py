@@ -1,11 +1,17 @@
 """Circuit representation, structural ops, and exact resource metrics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_classical_circuit, ref_simulate
+from conftest import random_classical_circuit, ref_metrics, ref_simulate
 from ecadd.circuit_ir import (
+    ARITY,
     CNOT,
+    KIND_NAMES,
     H,
     NOT,
     S,
@@ -29,6 +35,44 @@ def three_wire(*names):
     c = Circuit()
     for nm in names:
         c.add_wire(nm)
+    return c
+
+
+@st.composite
+def grouped_circuits(draw):
+    """A random circuit over all eight gate kinds, with nested and empty
+    groups and gates outside any group, optionally passed through
+    ``inverse``, ``decompose_toffoli`` or ``compose``."""
+    width = draw(st.integers(1, 6))
+    c = Circuit()
+    for i in range(width):
+        c.add_wire(f"w{i}")
+    kinds = [k for k in range(len(KIND_NAMES)) if ARITY[k] <= width]
+    open_groups = 0
+    for _ in range(draw(st.integers(0, 40))):
+        op = draw(st.sampled_from(("gate", "gate", "gate", "begin", "end")))
+        if op == "begin":
+            c.begin_group(draw(st.sampled_from(("SM", "M", "xyZ", "SR"))))
+            open_groups += 1
+        elif op == "end" and open_groups:
+            c.end_group()
+            open_groups -= 1
+        elif op == "gate":
+            kind = draw(st.sampled_from(kinds))
+            wires = draw(st.permutations(range(width)))[:ARITY[kind]]
+            c.append(kind, *wires)
+    for _ in range(open_groups):
+        c.end_group()
+    transform = draw(st.sampled_from(
+        ("plain", "inverse", "decompose", "decompose_inverse", "compose")))
+    if transform == "inverse":
+        return inverse(c)
+    if transform == "decompose":
+        return decompose_toffoli(c)
+    if transform == "decompose_inverse":
+        return decompose_toffoli(inverse(c))
+    if transform == "compose":
+        return compose(c, inverse(c))
     return c
 
 
@@ -136,6 +180,18 @@ class TestMetrics:
         # Block accounting: 8 depth units / 4 T-stages per Toffoli.
         assert d.depth == 9
         assert d.t_depth == 4
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(grouped_circuits())
+    def test_one_pass_engine_matches_reference(self, c):
+        r = metrics(c)
+        (depth, t_depth, b_depth, bt_depth), subs = ref_metrics(c)
+        assert (r.depth, r.t_depth) == (depth, t_depth)
+        assert (r.decomposed.depth, r.decomposed.t_depth) == (b_depth, bt_depth)
+        assert [(s.label, s.counts, s.depth) for s in r.subcircuits] == subs
+        kinds = Counter(KIND_NAMES[g[0]] for g in c.gate_tuples())
+        assert r.counts == {name: kinds[name] for name in KIND_NAMES}
 
 
 class TestToffoliTemplate:

@@ -75,6 +75,13 @@ class TestSynth:
         assert main(synth_args(b)) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "a.qc"
+        assert main(synth_args(out)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert not out.parent.exists()
+
     def test_decompose_flag(self, tmp_path, capsys):
         out = tmp_path / "d.qc"
         assert main(synth_args(out, ["--decompose"])) == EXIT_OK
@@ -105,6 +112,14 @@ class TestTables:
         assert rows["B409"]["depth"] == 2 and rows["B409"]["cnots"] == 613
 
 
+    def test_unwritable_json_path(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        code = main(["tables", "sqrt", "--nist", "--json", str(path)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+
 class TestVerify:
     BASE = ["verify", "--poly", "1+x+x^3", "--a2", "0x1", "--a6", "0x1",
             "--x2", "0x2", "--y2", "0x5"]
@@ -112,6 +127,20 @@ class TestVerify:
     def test_exhaustive_passes(self, capsys):
         assert main(self.BASE + ["--exhaustive"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+    def test_readme_sampling_example_passes(self, capsys):
+        argv = ["verify", "--poly", "1+x^2+x^5", "--a2", "0x1", "--a6", "0x1",
+                "--x2", "0x6", "--y2", "0x10", "--samples", "1000",
+                "--seed", "7"]
+        assert main(argv) == EXIT_OK
+        assert "PASS: 1000 cases" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_one_rejected(self, count, capsys):
+        assert main(self.BASE + ["--samples", count]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "--samples must be at least 1" in captured.err
 
     def test_sampling_is_seed_deterministic(self, capsys):
         assert main(self.BASE + ["--samples", "50", "--seed", "7"]) == EXIT_OK

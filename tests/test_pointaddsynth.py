@@ -177,6 +177,15 @@ class TestSemantics:
                                                       other.field.elem(1)))
 
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_verification_rejects_sample_count_below_one(self, f8, samples):
+        curve = Curve(f8.elem(1), f8.elem(1))
+        p2 = AffinePoint(f8.elem(2), f8.elem(5))
+        circ, _ = synth_point_add(curve, p2)
+        with pytest.raises(SynthesisError):
+            verify_point_add(circ, curve, p2, samples=samples)
+
+
 class TestBounds:
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_bounds_hold_and_are_reported(self, n):
