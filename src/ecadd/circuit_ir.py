@@ -252,7 +252,8 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
     """Rewrite every Toffoli as its 15-gate Clifford+T template.
 
     Group spans are remapped so labeled blocks still cover the same
-    logical gates.
+    logical gates.  ``qcformat.write_qc(circuit, clifford_t=True)``
+    writes the text of this circuit without building it.
     """
     circuit.check_closed()
     out = Circuit()

@@ -25,6 +25,7 @@ from .ecoracle import AffinePoint, Curve, PointError
 from .gf2field import IrreduciblePoly, parse_element_text
 from .linmaps import matrix_of_sqrt, matrix_of_squaring
 from .pointaddsynth import (
+    EXHAUSTIVE_MAX_N,
     BoundViolation,
     SynthesisError,
     SynthesisOptions,
@@ -92,10 +93,7 @@ def _job_from_args(args) -> JobSpec:
     except PointError as exc:
         raise ValidationError(str(exc)) from exc
     p2 = AffinePoint(elem("--x2", args.x2), elem("--y2", args.y2))
-    opts = SynthesisOptions(
-        decompose_toffoli=args.decompose,
-        allow_off_curve=args.allow_off_curve,
-    )
+    opts = SynthesisOptions(allow_off_curve=args.allow_off_curve)
     return JobSpec(fld, curve, p2, opts)
 
 
@@ -156,7 +154,7 @@ def cmd_synth(args) -> int:
     base = out[:-3] if out.endswith(".qc") else out
     qc_path = base + ".qc"
     report_path = base + ".report.json"
-    _write_file(qc_path, write_qc(circuit))
+    _write_file(qc_path, write_qc(circuit, clifford_t=args.decompose))
     _write_file(report_path,
                 json.dumps(report_to_json(job, report), indent=2) + "\n")
     print(f"wrote {qc_path} and {report_path}")
@@ -203,6 +201,9 @@ def cmd_verify(args) -> int:
     job = _job_from_args(args)
     if job.field.n > 20:
         raise ValidationError("verification is limited to n <= 20")
+    if args.exhaustive and job.field.n > EXHAUSTIVE_MAX_N:
+        raise ValidationError(
+            f"exhaustive verification is limited to n <= {EXHAUSTIVE_MAX_N}")
     try:
         circuit, _ = synth_point_add(job.curve, job.p2, job.options)
         result = verify_point_add(
@@ -229,8 +230,6 @@ def _add_job_args(p: argparse.ArgumentParser):
     p.add_argument("--y2", required=True, help="fixed point y-coordinate")
     p.add_argument("--allow-off-curve", action="store_true",
                    help="skip the curve-membership check for (x2, y2)")
-    p.add_argument("--decompose", action="store_true",
-                   help="expand Toffoli gates into Clifford+T")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("synth", help="synthesize a .qc circuit and JSON report")
     _add_job_args(ps)
     ps.add_argument("--out", required=True, help="output path (.qc)")
+    ps.add_argument("--decompose", action="store_true",
+                    help="write each Toffoli as its Clifford+T template")
     ps.set_defaults(func=cmd_synth)
 
     pt = sub.add_parser("tables", help="squaring / sqrt cost tables")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 
@@ -375,11 +376,39 @@ class FieldElem:
         return poly_to_text(self.value)
 
 
+@lru_cache(maxsize=16)
+def _quadratic_solver(modulus: int) -> tuple[tuple[int, int, int], ...]:
+    """Gauss-Jordan form of z -> z^2 + z on the span of x, ..., x^(n-1).
+
+    The map is GF(2)-linear with kernel {0, 1}, so it is injective on
+    that span and the span's image is the whole image.  Each returned
+    row is (pivot bit, image, preimage): no other row's image has the
+    pivot bit set, and preimage^2 + preimage = image.
+    """
+    n = poly_degree(modulus)
+    rows: list[list[int]] = []
+    for i in range(1, n):
+        image = poly_mod(1 << (2 * i), modulus) ^ (1 << i)
+        pre = 1 << i
+        for pivot, r_image, r_pre in rows:
+            if image >> pivot & 1:
+                image ^= r_image
+                pre ^= r_pre
+        pivot = image.bit_length() - 1
+        for row in rows:
+            if row[1] >> pivot & 1:
+                row[1] ^= image
+                row[2] ^= pre
+        rows.append([pivot, image, pre])
+    return tuple(map(tuple, rows))
+
+
 def solve_quadratic(c: FieldElem) -> Optional[FieldElem]:
     """A solution z of z^2 + z = c, or None when none exists.
 
-    Odd n uses the half-trace; even n falls back to exhaustive search and
-    is only supported up to n = 16.
+    Odd n uses the half-trace.  Even n solves the linear system of
+    z -> z^2 + z by a Gauss-Jordan elimination cached per modulus and
+    returns the root with bit 0 clear (the other root is z + 1).
     """
     field = c.field
     if c.value == 0:
@@ -390,12 +419,10 @@ def solve_quadratic(c: FieldElem) -> Optional[FieldElem]:
         if (z.square() + z).value == c.value:
             return z
         return None
-    if n > 16:
-        raise UnsupportedField(
-            "solving z^2+z=c over even-degree fields is limited to n <= 16"
-        )
-    for v in range(1 << n):
-        z = FieldElem(v, field)
-        if (z.square() + z).value == c.value:
-            return z
-    return None
+    rest = c.value
+    z = 0
+    for pivot, image, pre in _quadratic_solver(field.poly.bits):
+        if rest >> pivot & 1:
+            rest ^= image
+            z ^= pre
+    return FieldElem(z, field) if rest == 0 else None

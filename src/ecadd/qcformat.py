@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .circuit_ir import (
-    ARITY,
     CNOT,
     H,
     NOT,
@@ -40,6 +40,7 @@ from .circuit_ir import (
     T,
     T_DAGGER,
     TOFFOLI,
+    TOFFOLI_TEMPLATE,
     Circuit,
 )
 
@@ -86,10 +87,17 @@ class QcDocument:
 # Writing
 # ----------------------------------------------------------------------
 
-def _gate_line(kind: int, names) -> str:
-    if kind in (NOT, CNOT, TOFFOLI):
-        return "tof " + " ".join(names)
-    return f"{_ONE_WIRE_NAMES[kind]} {names[0]}"
+# Line prefix of each one-wire gate kind (NOT is ``tof`` with one wire).
+_ONE_WIRE_PREFIX = {NOT: "tof ",
+                    **{k: f"{v} " for k, v in _ONE_WIRE_NAMES.items()}}
+# A Toffoli as one line, and as the 15 lines of its Clifford+T template;
+# fields 0 and 1 are the controls, field 2 the target.
+_TOFFOLI_LINE = "tof {0} {1} {2}"
+_TOFFOLI_CLIFFORD_T = "\n".join(
+    f"tof {{{e[1]}}} {{{e[2]}}}" if e[0] == CNOT
+    else f"{_ONE_WIRE_NAMES[e[0]]} {{{e[1]}}}"
+    for e in TOFFOLI_TEMPLATE
+)
 
 
 def _sanitize(label: str) -> str:
@@ -99,56 +107,67 @@ def _sanitize(label: str) -> str:
     return s
 
 
-def write_qc(circuit: Circuit, group_as_subcircuits: bool = True) -> str:
-    """Render a circuit as .qc text (deterministic)."""
+def _render(gates, count: int, names, toffoli) -> str:
+    """The next ``count`` gates of the iterator ``gates`` as LF-joined
+    lines; ``toffoli`` formats a Toffoli from its three wire names."""
+    lines = []
+    append = lines.append
+    prefix = _ONE_WIRE_PREFIX
+    for g in islice(gates, count):
+        k = g[0]
+        if k == CNOT:
+            _, a, b = g
+            append(f"tof {names[a]} {names[b]}")
+        elif k == TOFFOLI:
+            _, a, b, c = g
+            append(toffoli(names[a], names[b], names[c]))
+        else:
+            _, a = g
+            append(prefix[k] + names[a])
+    return "\n".join(lines)
+
+
+def write_qc(circuit: Circuit, group_as_subcircuits: bool = True,
+             clifford_t: bool = False) -> str:
+    """Render a circuit as .qc text (deterministic).
+
+    The text is built a block at a time: one string per top-level group
+    and per run of gates between groups, joined once at the end.  With
+    ``clifford_t`` each Toffoli is written as its 15-gate Clifford+T
+    template (``circuit_ir.TOFFOLI_TEMPLATE``) as it is rendered, giving
+    the same text as writing ``decompose_toffoli(circuit)``.
+    """
     circuit.check_closed()
     names = circuit.wires
-    perm = circuit.out_permutation
-    out_names = [names[p] for p in perm]
-
-    lines = [
+    toffoli = (_TOFFOLI_CLIFFORD_T if clifford_t else _TOFFOLI_LINE).format
+    gates = iter(circuit.gate_tuples())
+    parts = [
         ".v " + " ".join(names),
         ".i " + " ".join(names),
-        ".o " + " ".join(out_names),
+        ".o " + " ".join(names[p] for p in circuit.out_permutation),
         "",
     ]
-
-    gates = circuit.gate_tuples()
-    spans = []  # (start, end, unique_name)
-    if group_as_subcircuits:
-        used: dict[str, int] = {}
-        for grp in circuit.top_level_groups():
-            base = _sanitize(grp.label)
-            used[base] = used.get(base, 0) + 1
-            name = base if used[base] == 1 else f"{base}_{used[base]}"
-            spans.append((grp.start, grp.end, name))
-            lines.append(f"BEGIN {name}")
-            for g in gates[grp.start:grp.end]:
-                lines.append(_gate_line(g[0], [names[w] for w in g[1:]]))
-            lines.append(f"END {name}")
-            lines.append("")
-
-    lines.append("BEGIN")
-    i = 0
-    span_idx = 0
-    while i < len(gates):
-        if span_idx < len(spans) and spans[span_idx][0] == i:
-            start, end, name = spans[span_idx]
-            lines.append(name)
-            i = end
-            span_idx += 1
-            continue
-        g = gates[i]
-        lines.append(_gate_line(g[0], [names[w] for w in g[1:]]))
-        i += 1
-    # An empty trailing group still needs its invocation.
-    while span_idx < len(spans):
-        start, end, name = spans[span_idx]
-        if start == len(gates):
-            lines.append(name)
-        span_idx += 1
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    main = ["BEGIN"]
+    used: dict[str, int] = {}
+    pos = 0
+    groups = circuit.top_level_groups() if group_as_subcircuits else ()
+    for grp in groups:
+        base = _sanitize(grp.label)
+        used[base] = used.get(base, 0) + 1
+        name = base if used[base] == 1 else f"{base}_{used[base]}"
+        if grp.start > pos:
+            main.append(_render(gates, grp.start - pos, names, toffoli))
+        parts.append(f"BEGIN {name}")
+        if grp.end > grp.start:
+            parts.append(_render(gates, grp.end - grp.start, names, toffoli))
+        parts.append(f"END {name}\n")
+        main.append(name)
+        pos = grp.end
+    if circuit.num_gates > pos:
+        main.append(_render(gates, circuit.num_gates - pos, names, toffoli))
+    main.append("END\n")
+    parts += main
+    return "\n".join(parts)
 
 
 # ----------------------------------------------------------------------

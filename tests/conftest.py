@@ -8,6 +8,7 @@ scratch -- naive, slow, and structurally different from the package code
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,9 @@ from ecadd.circuit_ir import (
     CNOT,
     KIND_NAMES,
     NOT,
+    H,
+    S,
+    S_DAGGER,
     T,
     T_DAGGER,
     TOFFOLI,
@@ -258,6 +262,100 @@ def ref_metrics(circuit: Circuit):
         subs.append((grp.label, counts,
                      ref_schedule(span, circuit.width)[0]))
     return ref_schedule(gates, circuit.width), subs
+
+
+# ----------------------------------------------------------------------
+# Reference .qc writer: one list entry per line, joined once
+# ----------------------------------------------------------------------
+
+_REF_ONE_WIRE = {H: "H", T: "T", T_DAGGER: "T*", S: "S", S_DAGGER: "S*"}
+
+
+def _ref_gate_line(kind: int, names) -> str:
+    if kind in (NOT, CNOT, TOFFOLI):
+        return "tof " + " ".join(names)
+    return f"{_REF_ONE_WIRE[kind]} {names[0]}"
+
+
+def ref_write_qc(circuit: Circuit, group_as_subcircuits: bool = True) -> str:
+    """The .qc text of a circuit, built gate by gate into one list of
+    lines; top-level groups become named subcircuits."""
+    circuit.check_closed()
+    names = circuit.wires
+    perm = circuit.out_permutation
+    out_names = [names[p] for p in perm]
+
+    lines = [
+        ".v " + " ".join(names),
+        ".i " + " ".join(names),
+        ".o " + " ".join(out_names),
+        "",
+    ]
+
+    gates = circuit.gate_tuples()
+    spans = []  # (start, end, unique_name)
+    if group_as_subcircuits:
+        used: dict[str, int] = {}
+        for grp in circuit.top_level_groups():
+            base = re.sub(r"[^A-Za-z0-9_]", "_", grp.label)
+            if not base or not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", base):
+                base = "G_" + base
+            used[base] = used.get(base, 0) + 1
+            name = base if used[base] == 1 else f"{base}_{used[base]}"
+            spans.append((grp.start, grp.end, name))
+            lines.append(f"BEGIN {name}")
+            for g in gates[grp.start:grp.end]:
+                lines.append(_ref_gate_line(g[0], [names[w] for w in g[1:]]))
+            lines.append(f"END {name}")
+            lines.append("")
+
+    lines.append("BEGIN")
+    i = 0
+    span_idx = 0
+    while i < len(gates):
+        if span_idx < len(spans) and spans[span_idx][0] == i:
+            start, end, name = spans[span_idx]
+            lines.append(name)
+            i = end
+            span_idx += 1
+            continue
+        g = gates[i]
+        lines.append(_ref_gate_line(g[0], [names[w] for w in g[1:]]))
+        i += 1
+    # An empty trailing group still needs its invocation.
+    while span_idx < len(spans):
+        start, end, name = spans[span_idx]
+        if start == len(gates):
+            lines.append(name)
+        span_idx += 1
+    lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------------
+# Reference exhaustive inputs: every (X, Y, Z) triple, filtered
+# ----------------------------------------------------------------------
+
+def ref_exhaustive_inputs(curve, p2) -> list[tuple[int, int, int]]:
+    """The (X, Y, Z) values of every on-curve Lopez-Dahab triple with
+    Z != 0 whose affine point is neither P2 nor -P2, found by trying all
+    8^n triples."""
+    from ecadd.ecoracle import (LDPoint, affine_equal, ld_to_affine, negate,
+                                on_curve_ld)
+
+    fld = curve.field
+    out = []
+    for zv in range(1, 1 << fld.n):
+        for xv in range(1 << fld.n):
+            for yv in range(1 << fld.n):
+                p1 = LDPoint(fld.elem(xv), fld.elem(yv), fld.elem(zv))
+                if not on_curve_ld(curve, p1):
+                    continue
+                pa = ld_to_affine(p1)
+                if affine_equal(pa, p2) or affine_equal(pa, negate(p2)):
+                    continue
+                out.append((xv, yv, zv))
+    return out
 
 
 # ----------------------------------------------------------------------

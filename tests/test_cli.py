@@ -162,6 +162,23 @@ class TestVerify:
                      "--allow-off-curve"])
         assert code == EXIT_VALIDATION
 
+    def test_exhaustive_cap(self, capsys, monkeypatch):
+        import ecadd.cli as cli
+        from ecadd.pointaddsynth import EXHAUSTIVE_MAX_N
+
+        # The request is refused before any circuit is built.
+        monkeypatch.setattr(cli, "synth_point_add", None)
+        code = main(["verify", "--poly", "1+x^4+x^9", "--a2", "0x1",
+                     "--a6", "0x1", "--x2", "0x2", "--y2", "0x5",
+                     "--allow-off-curve", "--exhaustive"])
+        assert EXHAUSTIVE_MAX_N < 9
+        assert code == EXIT_VALIDATION
+        assert f"limited to n <= {EXHAUSTIVE_MAX_N}" in capsys.readouterr().err
+
+    def test_decompose_is_a_synth_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(self.BASE + ["--exhaustive", "--decompose"])
+
     def test_corrupted_circuit_fails_with_counterexample(
             self, capsys, monkeypatch):
         import ecadd.pointaddsynth as pas

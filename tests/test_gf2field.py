@@ -242,10 +242,30 @@ class TestSolveQuadratic:
             else:
                 assert z is None
 
-    def test_even_degree_cap(self):
-        fld = first_irreducible(18)
-        with pytest.raises(UnsupportedField):
-            solve_quadratic(fld.elem(3))
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_even_degree_matches_brute_force(self, n):
+        """Even n returns the smallest root, which has bit 0 clear."""
+        fld = first_irreducible(n)
+        smallest = {}
+        for z in range(1 << n):
+            smallest.setdefault((fld.elem(z).square() + fld.elem(z)).value, z)
+        for cv in range(1 << n):
+            z = solve_quadratic(fld.elem(cv))
+            assert (None if z is None else z.value) == smallest.get(cv)
+
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_even_degree_above_16(self, n, rng):
+        fld = first_irreducible(n)
+        solved = 0
+        for _ in range(200):
+            c = fld.elem(rng.getrandbits(n))
+            z = solve_quadratic(c)
+            if z is None:
+                assert c.trace() == 1
+            else:
+                assert (z.square() + z).value == c.value
+                solved += 1
+        assert 0 < solved < 200
 
 
 class TestGf2PolyWrapper:

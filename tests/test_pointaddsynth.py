@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import first_irreducible
+from conftest import first_irreducible, ref_exhaustive_inputs
 from ecadd.circuit_ir import CNOT, TOFFOLI, metrics
 from ecadd.ecoracle import (
     AffinePoint,
@@ -16,15 +16,18 @@ from ecadd.ecoracle import (
 from ecadd.gf2field import IrreduciblePoly
 from ecadd.pointaddsynth import (
     REGISTER_ORDER,
+    EXHAUSTIVE_MAX_N,
     BoundViolation,
     SynthesisError,
     SynthesisOptions,
     check_bounds,
+    exhaustive_inputs,
     layout_for,
     multiplier_report,
     synth_point_add,
     verify_point_add,
 )
+from ecadd.qcformat import circuit_from_qc, write_qc
 from ecadd.revsim import Simulator
 
 TOY = SynthesisOptions(allow_off_curve=True)
@@ -94,13 +97,11 @@ class TestToyStructure:
 
     def test_decompose_option_expands_toffolis(self):
         curve, p2 = toy_job()
-        circ, report = synth_point_add(
-            curve, p2, SynthesisOptions(decompose_toffoli=True,
-                                        allow_off_curve=True))
-        m = metrics(circ)
+        circ, report = synth_point_add(curve, p2, TOY)
+        m = metrics(circuit_from_qc(write_qc(circ, clifford_t=True)))
         assert m.toffoli_count == 0
         assert m.t_count == 35
-        # The report still describes the Toffoli-level circuit.
+        # The report describes the Toffoli-level circuit.
         assert report.toffoli_count == 5
 
 
@@ -112,6 +113,27 @@ class TestSemantics:
         result = verify_point_add(circ, curve, p2, exhaustive=True)
         assert result.ok, result.failure
         assert result.cases > 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exhaustive_inputs_match_all_triples(self, n):
+        fld = first_irreducible(n)
+        for a2v in range(1 << n):
+            for a6v in range(1, 1 << n):
+                curve = Curve(fld.elem(a2v), fld.elem(a6v))
+                for p2 in all_affine_points(curve):
+                    got = [(p.X.value, p.Y.value, p.Z.value)
+                           for p in exhaustive_inputs(curve, p2)]
+                    assert len(got) == len(set(got))
+                    want = ref_exhaustive_inputs(curve, p2)
+                    assert sorted(got) == sorted(want)
+
+    def test_exhaustive_cap(self):
+        fld = first_irreducible(EXHAUSTIVE_MAX_N + 1)
+        curve = Curve(fld.elem(1), fld.elem(1))
+        p2 = random_point(curve, random.Random(1))
+        circ, _ = synth_point_add(curve, p2)
+        with pytest.raises(SynthesisError, match=f"n <= {EXHAUSTIVE_MAX_N}"):
+            verify_point_add(circ, curve, p2, exhaustive=True)
 
     def test_formula_equality_on_arbitrary_states(self):
         # The circuit realizes the branch-free formula on every basis

@@ -3,9 +3,22 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_classical_circuit, ref_simulate
-from ecadd.circuit_ir import CNOT, NOT, T, TOFFOLI, Circuit, metrics
+from conftest import random_classical_circuit, ref_simulate, ref_write_qc
+from ecadd.circuit_ir import (
+    ARITY,
+    CNOT,
+    KIND_NAMES,
+    NOT,
+    T,
+    TOFFOLI,
+    Circuit,
+    decompose_toffoli,
+    inverse,
+    metrics,
+)
 from ecadd.qcformat import (
     QcSemanticError,
     QcSyntaxError,
@@ -30,7 +43,50 @@ def small_circuit():
     return c
 
 
+@st.composite
+def writer_circuits(draw):
+    """A random circuit over all eight gate kinds, with nested groups,
+    empty groups (a trailing one included), gates outside any group and
+    repeated labels, optionally inverted and with a permuted output."""
+    width = draw(st.integers(1, 5))
+    c = Circuit()
+    for i in range(width):
+        c.add_wire(f"w{i}")
+    kinds = [k for k in range(len(KIND_NAMES)) if ARITY[k] <= width]
+    open_groups = 0
+    for _ in range(draw(st.integers(0, 40))):
+        op = draw(st.sampled_from(("gate", "gate", "begin", "end")))
+        if op == "begin":
+            c.begin_group(draw(st.sampled_from(("S", "M", "IM", "a-2"))))
+            open_groups += 1
+        elif op == "end" and open_groups:
+            c.end_group()
+            open_groups -= 1
+        elif op == "gate":
+            kind = draw(st.sampled_from(kinds))
+            wires = draw(st.permutations(range(width)))[:ARITY[kind]]
+            c.append(kind, *wires)
+    for _ in range(open_groups):
+        c.end_group()
+    if draw(st.booleans()):
+        c = inverse(c)
+    if draw(st.booleans()):
+        with c.group("S"):
+            pass
+    if draw(st.booleans()):
+        c.out_permutation = draw(st.permutations(range(width)))
+    return c
+
+
 class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(writer_circuits())
+    def test_matches_reference_writer(self, c):
+        assert write_qc(c) == ref_write_qc(c)
+        assert write_qc(c, group_as_subcircuits=False) == \
+            ref_write_qc(c, group_as_subcircuits=False)
+        assert write_qc(c, clifford_t=True) == ref_write_qc(decompose_toffoli(c))
+
     def test_gate_lines_and_headers(self):
         text = write_qc(small_circuit())
         lines = text.splitlines()
