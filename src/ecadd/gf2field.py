@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Optional
 
 
@@ -358,22 +359,47 @@ class FieldElem:
         return s
 
     def half_trace(self) -> "FieldElem":
-        """Half-trace, defined for odd n; solves z^2 + z = a when trace(a) = 0."""
+        """Half-trace, defined for odd n; solves z^2 + z = a when trace(a) = 0.
+
+        H(a) = a + a^4 + a^16 + ... + a^(4^((n-1)/2)) is GF(2)-linear, so
+        it is the XOR of the cached columns H(x^i) over the bits of a."""
         n = self.field.n
         if n % 2 == 0:
             raise UnsupportedField("half-trace requires odd extension degree")
-        h = self
-        t = self
-        for _ in range((n - 1) // 2):
-            t = t.square().square()
-            h = h + t
-        return h
+        cols = _half_trace_columns(self.field.poly.bits)
+        h = 0
+        for i in support_of(self.value):
+            h ^= cols[i]
+        return FieldElem(h, self.field)
 
     def to_hex(self) -> str:
         return hex(self.value)
 
     def __str__(self) -> str:
         return poly_to_text(self.value)
+
+
+@lru_cache(maxsize=16)
+def _half_trace_columns(modulus: int) -> tuple[int, ...]:
+    """H(x^i) for i < n (odd n), all n columns computed at once.
+
+    Bit i of lane r is coefficient r of the running power of x^i, so one
+    squaring of all n elements is one XOR per nonzero entry of the
+    squaring matrix (row r lists the i whose x^(2i) mod p has bit r).
+    """
+    n = poly_degree(modulus)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for r in support_of(poly_mod(1 << (2 * i), modulus)):
+            rows[r].append(i)
+    power = [1 << r for r in range(n)]
+    acc = list(power)
+    for _ in range((n - 1) // 2):
+        for _ in range(2):
+            power = [reduce(xor, [power[i] for i in row], 0) for row in rows]
+        acc = [a ^ p for a, p in zip(acc, power)]
+    return tuple(sum((acc[r] >> i & 1) << r for r in range(n))
+                 for i in range(n))
 
 
 @lru_cache(maxsize=16)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
+from itertools import islice
 
 from .circuit_ir import (
     CNOT,
@@ -57,12 +58,17 @@ from .fieldsynth import (
 )
 from .gf2field import FieldElem, IrreduciblePoly
 from .linmaps import matrix_of_const_mul, matrix_of_sqrt, matrix_of_squaring
-from .revsim import Simulator
+from .revsim import Simulator, to_lanes
 
-# The largest n for exhaustive verification: n = 8 checks 72,675 cases in
-# about 20 s, n = 9 checks 263,165 in about 77 s.  It is also the limit of
-# ecoracle.all_affine_points, which lists the points.
+# The largest n for exhaustive verification: n = 7 checks 17,653 cases in
+# about 3.4 s and n = 8 checks 72,675 in about 15 s (2 vCPUs), most of it
+# in the oracle.  It is also the limit of ecoracle.all_affine_points,
+# which lists the points.
 EXHAUSTIVE_MAX_N = 8
+
+# Cases per simulator pass in verification (lane k is case k of a chunk);
+# fixed, so memory does not grow with the sample count.
+VERIFY_CHUNK = 128
 
 REGISTER_ORDER = ("X1", "Y1", "Z1", "C", "Z3", "X3", "Bsq", "D", "Cp", "Z3p", "Y3")
 
@@ -290,16 +296,11 @@ class VerifyResult:
     failure: str = dc_field(default=None)
 
 
-def _check_case(sim: Simulator, layout: PointAddLayout, curve: Curve,
-                p2: AffinePoint, p1: LDPoint, cross_check: bool) -> str | None:
-    """Run one input through the circuit; return a failure description or
-    None.  ``cross_check`` additionally compares against the complete
-    affine group law."""
-    fld = curve.field
-    state = layout.pack_inputs(p1.X.value, p1.Y.value, p1.Z.value)
-    out = sim.run(state)
+def _check_case(layout: PointAddLayout, curve: Curve, p2: AffinePoint,
+                p1: LDPoint, out: int) -> str | None:
+    """The first check that the circuit's output state ``out`` for input
+    P1 fails, as a failure description, or None."""
     expect = aldaoud_madd(curve, p1, p2, checked=False)
-
     tag = f"P1=({p1.X.value:#x},{p1.Y.value:#x},{p1.Z.value:#x})"
     for name, want in (("X1", p1.X.value), ("Y1", p1.Y.value),
                        ("Z1", p1.Z.value)):
@@ -308,17 +309,50 @@ def _check_case(sim: Simulator, layout: PointAddLayout, curve: Curve,
     for name in ("C", "Bsq", "D", "Cp", "Z3p"):
         if layout.extract(out, name) != 0:
             return f"{tag}: ancilla register {name} not cleared"
-    got = LDPoint(fld.elem(layout.extract(out, "X3")),
-                  fld.elem(layout.extract(out, "Y3")),
-                  fld.elem(layout.extract(out, "Z3")))
-    if (got.X.value, got.Y.value, got.Z.value) != \
-       (expect.X.value, expect.Y.value, expect.Z.value):
+    if [layout.extract(out, r) for r in ("X3", "Y3", "Z3")] != \
+       [expect.X.value, expect.Y.value, expect.Z.value]:
         return f"{tag}: output differs from the mixed-addition formula"
-    if cross_check and not got.is_infinity:
-        want_affine = affine_add(curve, ld_to_affine(p1), p2)
-        if not affine_equal(ld_to_affine(got), want_affine):
-            return f"{tag}: output disagrees with the affine group law"
+    if not _agrees_with_group_law(curve, p1, p2, expect):
+        return f"{tag}: output disagrees with the affine group law"
     return None
+
+
+def _agrees_with_group_law(curve: Curve, p1: LDPoint, p2: AffinePoint,
+                           p3: LDPoint) -> bool:
+    """P3 = P1 + P2 under the complete affine law, or P3 = O."""
+    return p3.is_infinity or affine_equal(
+        ld_to_affine(p3), affine_add(curve, ld_to_affine(p1), p2))
+
+
+def _check_chunk(sim: Simulator, layout: PointAddLayout, curve: Curve,
+                 p2: AffinePoint, chunk: list) -> tuple[int, str] | None:
+    """(index, failure) of the first case in ``chunk`` that _check_case
+    fails, found with one lane pass; None when every case passes.
+
+    A lane fails a register check iff it differs from the state that
+    holds its inputs, clear ancillas and the oracle's X3, Y3, Z3; where
+    it passes them, its output is the oracle's, whose group law is
+    checked per case."""
+    oz, ox, oy = (layout.offset(r) for r in ("Z3", "X3", "Y3"))
+    inputs, wants = [], []
+    bad = 0
+    for k, p1 in enumerate(chunk):
+        state = layout.pack_inputs(p1.X.value, p1.Y.value, p1.Z.value)
+        expect = aldaoud_madd(curve, p1, p2, checked=False)
+        inputs.append(state)
+        wants.append(state | expect.Z.value << oz | expect.X.value << ox
+                     | expect.Y.value << oy)
+        if not _agrees_with_group_law(curve, p1, p2, expect):
+            bad |= 1 << k
+    width = sim.width
+    got = sim.run_lanes(to_lanes(inputs, width), (1 << len(chunk)) - 1)
+    for g, w in zip(got, to_lanes(wants, width)):
+        bad |= g ^ w
+    if not bad:
+        return None
+    k = (bad & -bad).bit_length() - 1
+    out = sum((g >> k & 1) << i for i, g in enumerate(got))
+    return k, _check_case(layout, curve, p2, chunk[k], out)
 
 
 def _generic(curve: Curve, p1_affine: AffinePoint, p2: AffinePoint) -> bool:
@@ -368,7 +402,9 @@ def verify_point_add(circuit: Circuit, curve: Curve, p2: AffinePoint,
     Exhaustive mode sweeps every on-curve Lopez-Dahab representative that
     satisfies the generic-case precondition, about 4^n cases, for
     n <= EXHAUSTIVE_MAX_N; otherwise ``samples`` seeded random
-    representatives are drawn.
+    representatives are drawn.  Cases run through the circuit
+    VERIFY_CHUNK at a time, one per lane; the result names the first
+    failing case in input order.
     """
     if not exhaustive and samples < 1:
         raise SynthesisError(f"sample count must be at least 1, got {samples}")
@@ -383,9 +419,13 @@ def verify_point_add(circuit: Circuit, curve: Curve, p2: AffinePoint,
     inputs = (exhaustive_inputs(curve, p2) if exhaustive
               else _sampled_inputs(curve, p2, samples, seed))
     cases = 0
-    for p1 in inputs:
-        fail = _check_case(sim, layout, curve, p2, p1, True)
-        cases += 1
+    while chunk := list(islice(inputs, VERIFY_CHUNK)):
+        fail = _check_chunk(sim, layout, curve, p2, chunk)
         if fail:
-            return VerifyResult(False, cases, fail)
+            return VerifyResult(False, cases + fail[0] + 1, fail[1])
+        cases += len(chunk)
+    if cases == 0:
+        raise SynthesisError(
+            "no generic-case input to verify: every affine point of the "
+            "curve is P2 or -P2")
     return VerifyResult(True, cases)

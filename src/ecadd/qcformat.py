@@ -127,8 +127,7 @@ def _render(gates, count: int, names, toffoli) -> str:
     return "\n".join(lines)
 
 
-def write_qc(circuit: Circuit, group_as_subcircuits: bool = True,
-             clifford_t: bool = False) -> str:
+def write_qc(circuit: Circuit, clifford_t: bool = False) -> str:
     """Render a circuit as .qc text (deterministic).
 
     The text is built a block at a time: one string per top-level group
@@ -150,8 +149,7 @@ def write_qc(circuit: Circuit, group_as_subcircuits: bool = True,
     main = ["BEGIN"]
     used: dict[str, int] = {}
     pos = 0
-    groups = circuit.top_level_groups() if group_as_subcircuits else ()
-    for grp in groups:
+    for grp in circuit.top_level_groups():
         base = _sanitize(grp.label)
         used[base] = used.get(base, 0) + 1
         name = base if used[base] == 1 else f"{base}_{used[base]}"

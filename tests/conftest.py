@@ -277,7 +277,7 @@ def _ref_gate_line(kind: int, names) -> str:
     return f"{_REF_ONE_WIRE[kind]} {names[0]}"
 
 
-def ref_write_qc(circuit: Circuit, group_as_subcircuits: bool = True) -> str:
+def ref_write_qc(circuit: Circuit) -> str:
     """The .qc text of a circuit, built gate by gate into one list of
     lines; top-level groups become named subcircuits."""
     circuit.check_closed()
@@ -294,20 +294,19 @@ def ref_write_qc(circuit: Circuit, group_as_subcircuits: bool = True) -> str:
 
     gates = circuit.gate_tuples()
     spans = []  # (start, end, unique_name)
-    if group_as_subcircuits:
-        used: dict[str, int] = {}
-        for grp in circuit.top_level_groups():
-            base = re.sub(r"[^A-Za-z0-9_]", "_", grp.label)
-            if not base or not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", base):
-                base = "G_" + base
-            used[base] = used.get(base, 0) + 1
-            name = base if used[base] == 1 else f"{base}_{used[base]}"
-            spans.append((grp.start, grp.end, name))
-            lines.append(f"BEGIN {name}")
-            for g in gates[grp.start:grp.end]:
-                lines.append(_ref_gate_line(g[0], [names[w] for w in g[1:]]))
-            lines.append(f"END {name}")
-            lines.append("")
+    used: dict[str, int] = {}
+    for grp in circuit.top_level_groups():
+        base = re.sub(r"[^A-Za-z0-9_]", "_", grp.label)
+        if not base or not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", base):
+            base = "G_" + base
+        used[base] = used.get(base, 0) + 1
+        name = base if used[base] == 1 else f"{base}_{used[base]}"
+        spans.append((grp.start, grp.end, name))
+        lines.append(f"BEGIN {name}")
+        for g in gates[grp.start:grp.end]:
+            lines.append(_ref_gate_line(g[0], [names[w] for w in g[1:]]))
+        lines.append(f"END {name}")
+        lines.append("")
 
     lines.append("BEGIN")
     i = 0
@@ -356,6 +355,65 @@ def ref_exhaustive_inputs(curve, p2) -> list[tuple[int, int, int]]:
                     continue
                 out.append((xv, yv, zv))
     return out
+
+
+# ----------------------------------------------------------------------
+# Reference half-trace: the squaring loop
+# ----------------------------------------------------------------------
+
+def ref_half_trace(a):
+    """a + a^4 + a^16 + ... + a^(4^((n-1)/2)) by repeated squaring."""
+    h = t = a
+    for _ in range((a.field.n - 1) // 2):
+        t = t.square().square()
+        h = h + t
+    return h
+
+
+# ----------------------------------------------------------------------
+# Reference verification: one case at a time, gate-by-gate simulation
+# ----------------------------------------------------------------------
+
+def ref_verify_point_add(circuit, curve, p2, exhaustive=False, samples=1000,
+                         seed=0):
+    """VerifyResult of checking each input in turn with ref_simulate; the
+    inputs and failure texts are those of pointaddsynth."""
+    from ecadd.ecoracle import (aldaoud_madd, affine_add, affine_equal,
+                                ld_to_affine)
+    from ecadd.pointaddsynth import (VerifyResult, _sampled_inputs,
+                                     exhaustive_inputs, layout_for)
+
+    layout = layout_for(curve.field.n)
+
+    def check(p1):
+        out = ref_simulate(circuit, layout.pack_inputs(
+            p1.X.value, p1.Y.value, p1.Z.value))
+        expect = aldaoud_madd(curve, p1, p2, checked=False)
+        tag = f"P1=({p1.X.value:#x},{p1.Y.value:#x},{p1.Z.value:#x})"
+        for name, want in (("X1", p1.X.value), ("Y1", p1.Y.value),
+                           ("Z1", p1.Z.value)):
+            if layout.extract(out, name) != want:
+                return f"{tag}: input register {name} not restored"
+        for name in ("C", "Bsq", "D", "Cp", "Z3p"):
+            if layout.extract(out, name) != 0:
+                return f"{tag}: ancilla register {name} not cleared"
+        got = [layout.extract(out, r) for r in ("X3", "Y3", "Z3")]
+        if got != [expect.X.value, expect.Y.value, expect.Z.value]:
+            return f"{tag}: output differs from the mixed-addition formula"
+        if not expect.is_infinity and not affine_equal(
+                ld_to_affine(expect), affine_add(curve, ld_to_affine(p1), p2)):
+            return f"{tag}: output disagrees with the affine group law"
+        return None
+
+    inputs = (exhaustive_inputs(curve, p2) if exhaustive
+              else _sampled_inputs(curve, p2, samples, seed))
+    cases = 0
+    for p1 in inputs:
+        fail = check(p1)
+        cases += 1
+        if fail:
+            return VerifyResult(False, cases, fail)
+    return VerifyResult(True, cases)
 
 
 # ----------------------------------------------------------------------

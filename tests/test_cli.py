@@ -175,6 +175,20 @@ class TestVerify:
         assert code == EXIT_VALIDATION
         assert f"limited to n <= {EXHAUSTIVE_MAX_N}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("curve", [
+        ["--poly", "1+x+x^2", "--a2", "0x2", "--a6", "0x1"],
+        ["--poly", "1+x", "--a2", "0x1", "--a6", "0x1"],
+    ])
+    def test_exhaustive_without_generic_case_fails(self, curve, capsys):
+        # The only affine points are +-P2, so there is nothing to check;
+        # this used to print "PASS: 0 cases".
+        code = main(["verify", *curve, "--x2", "0x0", "--y2", "0x1",
+                     "--exhaustive"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "no generic-case input" in captured.err
+
     def test_decompose_is_a_synth_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(self.BASE + ["--exhaustive", "--decompose"])

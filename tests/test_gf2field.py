@@ -9,6 +9,7 @@ from conftest import (
     ref_field_mul,
     ref_is_irreducible,
     ref_poly_mod,
+    ref_half_trace,
     ref_poly_mul,
 )
 from ecadd.gf2field import (
@@ -198,6 +199,14 @@ class TestFieldElem:
             if a.trace() == 0:
                 z = a.half_trace()
                 assert (z.square() + z).value == a.value
+
+    @pytest.mark.parametrize("poly", ["1+x^2+x^5", "1+x+x^7", "1+x^3+x^17",
+                                      "1+x+x^2+x^5+x^19", "1+x^74+x^233"])
+    def test_half_trace_matches_squaring_loop(self, poly, rng):
+        fld = IrreduciblePoly.from_string(poly)
+        for _ in range(30):
+            a = fld.elem(rng.getrandbits(fld.n))
+            assert a.half_trace() == ref_half_trace(a)
 
     def test_half_trace_even_degree_rejected(self, f16):
         with pytest.raises(UnsupportedField):

@@ -1,10 +1,12 @@
 """The full point-addition circuit: structure, semantics, bounds."""
 
+import itertools
 import random
 
 import pytest
 
-from conftest import first_irreducible, ref_exhaustive_inputs
+import ecadd.pointaddsynth as pas
+from conftest import first_irreducible, ref_exhaustive_inputs, ref_verify_point_add
 from ecadd.circuit_ir import CNOT, TOFFOLI, metrics
 from ecadd.ecoracle import (
     AffinePoint,
@@ -206,6 +208,92 @@ class TestSemantics:
         circ, _ = synth_point_add(curve, p2)
         with pytest.raises(SynthesisError):
             verify_point_add(circ, curve, p2, samples=samples)
+
+
+def mutations(circ, step):
+    """Mutate ``circ``'s gate list in place, yielding after each change
+    and undoing it after.  For every ``step``-th gate: the gate dropped,
+    a CNOT retargeted onto another wire, a Toffoli's target swapped with
+    its first control."""
+    gates = circ.gate_tuples()
+    for i in range(0, len(gates), step):
+        g = gates[i]
+        del gates[i]
+        yield f"drop {i}"
+        gates.insert(i, g)
+        if g[0] == CNOT:
+            t = (g[2] + 1) % circ.width
+            gates[i] = (CNOT, g[1], t if t != g[1] else (t + 1) % circ.width)
+            yield f"retarget {i}"
+        elif g[0] == TOFFOLI:
+            gates[i] = (TOFFOLI, g[3], g[2], g[1])
+            yield f"swap {i}"
+        gates[i] = g
+
+
+def lane(i, m):
+    """Bit k set iff bit i of k is set, for k < 2^m."""
+    every = (1 << (1 << m)) - 1
+    return every // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+
+
+class TestLaneVerification:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_structure_on_every_basis_input(self, n):
+        # Inputs restored and ancillas cleared on all 2^(3n) values of
+        # (X1, Y1, Z1), on the curve or not: one lane per input.
+        curve, p2 = curve_with_point(n)
+        circ, _ = synth_point_add(curve, p2)
+        layout = layout_for(n)
+        m = 3 * n
+        ins = [lane(i, m) for i in range(m)]
+        out = Simulator(circ).run_lanes(ins + [0] * (circ.width - m),
+                                        (1 << (1 << m)) - 1)
+        for name in ("X1", "Y1", "Z1"):
+            o = layout.offset(name)
+            assert out[o:o + n] == ins[o:o + n], name
+        for name in ("C", "Bsq", "D", "Cp", "Z3p"):
+            o = layout.offset(name)
+            assert not any(out[o:o + n]), name
+
+    def test_closed_form_lanes(self):
+        for m in range(1, 7):
+            for i in range(m):
+                want = sum(1 << k for k in range(1 << m) if k >> i & 1)
+                assert lane(i, m) == want
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_matches_case_by_case_reference(self, mode, monkeypatch):
+        if mode == "exhaustive":
+            curve, p2 = curve_with_point(3)
+            kwargs, step = {"exhaustive": True}, 3
+        else:
+            fld = first_irreducible(5)
+            curve = Curve(fld.elem(1), fld.elem(1))
+            p2 = random_point(curve, random.Random(7))
+            kwargs, step = {"samples": 40, "seed": 3}, 7
+        circ, _ = synth_point_add(curve, p2)
+        chunks = (1, 4, pas.VERIFY_CHUNK)
+        past_first_chunk = set()
+        for what in itertools.chain(["correct"], mutations(circ, step)):
+            want = ref_verify_point_add(circ, curve, p2, **kwargs)
+            for size in chunks:
+                monkeypatch.setattr(pas, "VERIFY_CHUNK", size)
+                got = verify_point_add(circ, curve, p2, **kwargs)
+                assert got == want, (what, size)
+                if not got.ok and got.cases > size:
+                    past_first_chunk.add(size)
+        assert {1, 4} <= past_first_chunk
+
+    def test_no_generic_case_is_an_error(self):
+        # On this curve the only affine points are +-P2.
+        fld = first_irreducible(2)
+        curve = Curve(fld.elem(2), fld.elem(1))
+        p2 = AffinePoint(fld.elem(0), fld.elem(1))
+        assert len(all_affine_points(curve)) == 1
+        circ, _ = synth_point_add(curve, p2)
+        with pytest.raises(SynthesisError, match="no generic-case input"):
+            verify_point_add(circ, curve, p2, exhaustive=True)
 
 
 class TestBounds:

@@ -83,8 +83,6 @@ class TestWriter:
     @given(writer_circuits())
     def test_matches_reference_writer(self, c):
         assert write_qc(c) == ref_write_qc(c)
-        assert write_qc(c, group_as_subcircuits=False) == \
-            ref_write_qc(c, group_as_subcircuits=False)
         assert write_qc(c, clifford_t=True) == ref_write_qc(decompose_toffoli(c))
 
     def test_gate_lines_and_headers(self):
@@ -144,11 +142,6 @@ class TestWriter:
             c.append(NOT, 0)
         text = write_qc(c)
         assert "BEGIN a_2_block_" in text
-
-    def test_flat_mode(self):
-        text = write_qc(small_circuit(), group_as_subcircuits=False)
-        assert "BEGIN S" not in text
-        assert text.count("BEGIN") == 1
 
 
 class TestParser:

@@ -1,10 +1,12 @@
-"""Bit-packed basis-state simulation."""
+"""Bitsliced simulation: the lane kernel and its one-lane case."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_classical_circuit, ref_simulate
-from ecadd.circuit_ir import CNOT, H, NOT, TOFFOLI, Circuit
-from ecadd.revsim import Simulator, UnsupportedGate, simulate, truth_table
+from ecadd.circuit_ir import ARITY, CNOT, H, NOT, TOFFOLI, Circuit
+from ecadd.revsim import Simulator, UnsupportedGate, simulate, to_lanes
 
 
 def build(width, gates):
@@ -66,12 +68,63 @@ class TestAgainstReference:
                 s = rng.getrandbits(c.width)
                 assert sim.run(s) == ref_simulate(c, s)
 
-    def test_truth_table_is_permutation(self, rng):
+    def test_all_basis_states_permute(self, rng):
+        # One lane per basis state: lane k of wire i is bit i of k.
         for _ in range(40):
             c = random_classical_circuit(rng, max_wires=6)
-            table = truth_table(c)
-            assert sorted(table) == list(range(1 << c.width))
+            lanes = 1 << c.width
+            out = Simulator(c).run_lanes(
+                to_lanes(list(range(lanes)), c.width), (1 << lanes) - 1)
+            images = [sum((w >> k & 1) << i for i, w in enumerate(out))
+                      for k in range(lanes)]
+            assert sorted(images) == list(range(lanes))
 
-    def test_truth_table_width_cap(self):
+
+def naive_lanes(states, width):
+    return [sum((s >> i & 1) << k for k, s in enumerate(states))
+            for i in range(width)]
+
+
+@st.composite
+def lane_jobs(draw):
+    """A random NOT/CNOT/Toffoli circuit, maybe with a permuted output,
+    and 1 to 300 input states."""
+    width = draw(st.integers(1, 8))
+    c = Circuit()
+    for i in range(width):
+        c.add_wire(f"w{i}")
+    kinds = [k for k in (NOT, CNOT, TOFFOLI) if ARITY[k] <= width]
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        c.append(kind, *draw(st.permutations(range(width)))[:ARITY[kind]])
+    if draw(st.booleans()):
+        c.out_permutation = draw(st.permutations(range(width)))
+    states = draw(st.lists(st.integers(0, (1 << width) - 1),
+                           min_size=1, max_size=300))
+    return c, states
+
+
+class TestLanes:
+    @settings(max_examples=200, deadline=None)
+    @given(lane_jobs())
+    def test_lane_kernel_matches_reference(self, job):
+        c, states = job
+        lanes = to_lanes(states, c.width)
+        assert lanes == naive_lanes(states, c.width)
+        out = Simulator(c).run_lanes(lanes, (1 << len(states)) - 1)
+        assert out == naive_lanes([ref_simulate(c, s) for s in states],
+                                  c.width)
+
+    def test_input_lanes_left_unchanged(self):
+        lanes = [0b01]
+        assert Simulator(build(1, [(NOT, 0)])).run_lanes(lanes, 0b11) == [0b10]
+        assert lanes == [0b01]
+
+    def test_one_integer_per_wire_required(self):
         with pytest.raises(ValueError):
-            truth_table(build(25, []))
+            Simulator(build(1, [])).run_lanes([0, 0], 1)
+
+    def test_to_lanes_edge_cases(self):
+        assert to_lanes([], 3) == [0, 0, 0]
+        assert to_lanes([0, 0], 0) == []
+        assert to_lanes([0b10, 0b01], 2) == [0b10, 0b01]
