@@ -13,13 +13,9 @@ from .circuit_ir import Circuit, ResourceReport, decompose_toffoli, metrics
 from .ecoracle import AffinePoint, Curve, LDPoint, affine_add, aldaoud_madd
 from .gf2field import FieldElem, Gf2Poly, IrreduciblePoly
 from .linmaps import BinMatrix
-from .pointaddsynth import (
-    SynthesisOptions,
-    synth_point_add,
-    verify_point_add,
-)
+from .pointaddsynth import synth_point_add, verify_point_add
 from .qcformat import parse_qc, write_qc
-from .revsim import Simulator, simulate
+from .revsim import Simulator
 
 __all__ = [
     "AffinePoint",
@@ -32,13 +28,11 @@ __all__ = [
     "LDPoint",
     "ResourceReport",
     "Simulator",
-    "SynthesisOptions",
     "affine_add",
     "aldaoud_madd",
     "decompose_toffoli",
     "metrics",
     "parse_qc",
-    "simulate",
     "synth_point_add",
     "verify_point_add",
     "write_qc",

@@ -28,7 +28,6 @@ from .pointaddsynth import (
     EXHAUSTIVE_MAX_N,
     BoundViolation,
     SynthesisError,
-    SynthesisOptions,
     multiplier_report,
     synth_point_add,
     verify_point_add,
@@ -59,7 +58,7 @@ class JobSpec:
     field: IrreduciblePoly
     curve: Curve
     p2: AffinePoint
-    options: SynthesisOptions
+    allow_off_curve: bool
 
 
 def _default_seed() -> int:
@@ -93,8 +92,7 @@ def _job_from_args(args) -> JobSpec:
     except PointError as exc:
         raise ValidationError(str(exc)) from exc
     p2 = AffinePoint(elem("--x2", args.x2), elem("--y2", args.y2))
-    opts = SynthesisOptions(allow_off_curve=args.allow_off_curve)
-    return JobSpec(fld, curve, p2, opts)
+    return JobSpec(fld, curve, p2, args.allow_off_curve)
 
 
 def report_to_json(job: JobSpec, report) -> dict:
@@ -106,7 +104,7 @@ def report_to_json(job: JobSpec, report) -> dict:
         "schema": 1,
         "n": job.field.n,
         "poly": str(job.field),
-        "multiplier_variant": job.options.multiplier_variant,
+        "multiplier_variant": "maslov_shift",
         "counts": report.counts,
         "toffoli_count": report.toffoli_count,
         "t_count": report.decomposed.t_count,
@@ -147,7 +145,8 @@ def _write_file(path: str, text: str):
 def cmd_synth(args) -> int:
     job = _job_from_args(args)
     try:
-        circuit, report = synth_point_add(job.curve, job.p2, job.options)
+        circuit, report = synth_point_add(
+            job.curve, job.p2, allow_off_curve=job.allow_off_curve)
     except SynthesisError as exc:
         raise ValidationError(str(exc)) from exc
     out = args.out
@@ -199,13 +198,12 @@ def cmd_verify(args) -> int:
     if not args.exhaustive and args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     job = _job_from_args(args)
-    if job.field.n > 20:
-        raise ValidationError("verification is limited to n <= 20")
     if args.exhaustive and job.field.n > EXHAUSTIVE_MAX_N:
         raise ValidationError(
             f"exhaustive verification is limited to n <= {EXHAUSTIVE_MAX_N}")
     try:
-        circuit, _ = synth_point_add(job.curve, job.p2, job.options)
+        circuit, _ = synth_point_add(
+            job.curve, job.p2, allow_off_curve=job.allow_off_curve)
         result = verify_point_add(
             circuit, job.curve, job.p2,
             exhaustive=args.exhaustive,

@@ -156,16 +156,6 @@ def ld_to_affine(p: LDPoint) -> AffinePoint:
     return AffinePoint(p.X * zi, p.Y * zi.square())
 
 
-def ld_equal(p: LDPoint, q: LDPoint) -> bool:
-    """Equality of the represented points (projective classes)."""
-    if p.is_infinity or q.is_infinity:
-        return p.is_infinity and q.is_infinity
-    # X_p / Z_p == X_q / Z_q and Y_p / Z_p^2 == Y_q / Z_q^2, cross-multiplied.
-    if (p.X * q.Z).value != (q.X * p.Z).value:
-        return False
-    return (p.Y * q.Z.square()).value == (q.Y * p.Z.square()).value
-
-
 def aldaoud_madd(curve: Curve, p1: LDPoint, p2: AffinePoint,
                  checked: bool = True) -> LDPoint:
     """Mixed-coordinate addition P3 = P1 + P2 (P1 in LD, P2 affine).

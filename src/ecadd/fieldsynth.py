@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 from .circuit_ir import CNOT, TOFFOLI, Circuit, CircuitError
 from .edgecolor import color_edges, graph_of_matrix
-from .gf2field import FieldElem, IrreduciblePoly
-from .linmaps import (
-    BinMatrix,
-    matrix_of_const_mul,
-    matrix_of_sqrt,
-    matrix_of_squaring,
-)
+from .gf2field import IrreduciblePoly
+from .linmaps import BinMatrix
 
 
 class RegisterOverlap(CircuitError):
@@ -94,31 +89,6 @@ def synth_add_inplace(circuit: Circuit, src: RegisterRef, dst: RegisterRef):
     circuit.extend_raw(
         (CNOT, s, d) for s, d in zip(src.wires, dst.wires)
     )
-
-
-def synth_square(circuit: Circuit, field: IrreduciblePoly, src: RegisterRef,
-                 dst: RegisterRef, layers=None):
-    """``dst ^= src^2`` via the Frobenius matrix."""
-    synth_linear(circuit, matrix_of_squaring(field), src, dst, layers)
-
-
-def synth_sqrt(circuit: Circuit, field: IrreduciblePoly, src: RegisterRef,
-               dst: RegisterRef, layers=None):
-    """``dst ^= sqrt(src)`` via the inverse Frobenius matrix."""
-    synth_linear(circuit, matrix_of_sqrt(field), src, dst, layers)
-
-
-def synth_const_mul(circuit: Circuit, c: FieldElem, src: RegisterRef,
-                    dst: RegisterRef, layers=None):
-    """``dst ^= c * src`` for a nonzero constant c."""
-    synth_linear(circuit, matrix_of_const_mul(c), src, dst, layers)
-
-
-def synth_const_mul_square(circuit: Circuit, c: FieldElem, src: RegisterRef,
-                           dst: RegisterRef, layers=None):
-    """``dst ^= c * src^2`` as a single fused linear map."""
-    m = matrix_of_const_mul(c) @ matrix_of_squaring(c.field)
-    synth_linear(circuit, m, src, dst, layers)
 
 
 def mult_gates(field: IrreduciblePoly, a: RegisterRef, b: RegisterRef,

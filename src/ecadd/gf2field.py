@@ -212,13 +212,6 @@ class Gf2Poly:
     def from_string(cls, text: str) -> "Gf2Poly":
         return cls(parse_poly_text(text))
 
-    @classmethod
-    def from_support(cls, exponents) -> "Gf2Poly":
-        bits = 0
-        for e in exponents:
-            bits ^= 1 << e
-        return cls(bits)
-
     @property
     def degree(self) -> int:
         return poly_degree(self.bits)
@@ -226,10 +219,6 @@ class Gf2Poly:
     @property
     def support(self) -> tuple[int, ...]:
         return support_of(self.bits)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.bits >> i & 1 for i in range(self.degree + 1))
 
     def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
         return Gf2Poly(self.bits ^ other.bits)
@@ -371,9 +360,6 @@ class FieldElem:
         for i in support_of(self.value):
             h ^= cols[i]
         return FieldElem(h, self.field)
-
-    def to_hex(self) -> str:
-        return hex(self.value)
 
     def __str__(self) -> str:
         return poly_to_text(self.value)

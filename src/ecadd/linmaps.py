@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2field import FieldElem, IrreduciblePoly, poly_mod, poly_mul
+from .gf2field import FieldElem, IrreduciblePoly, poly_mod, support_of
 
 
 class SingularMatrixError(ValueError):
@@ -42,17 +42,6 @@ class BinMatrix:
     def identity(cls, n: int) -> "BinMatrix":
         return cls(n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_lists(cls, entries) -> "BinMatrix":
-        """Build from a list of rows, each a list of 0/1 entries."""
-        n = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            rows.append(sum((1 if b else 0) << i for i, b in enumerate(row)))
-        return cls(n, tuple(rows))
-
     def entry(self, j: int, i: int) -> int:
         return self.rows[j] >> i & 1
 
@@ -79,10 +68,8 @@ class BinMatrix:
     def transpose(self) -> "BinMatrix":
         cols = [0] * self.n
         for j, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << j
-                r ^= low
+            for i in support_of(r):
+                cols[i] |= 1 << j
         return BinMatrix(self.n, tuple(cols))
 
     def apply(self, v: int) -> int:
@@ -100,10 +87,8 @@ class BinMatrix:
         rows = []
         for r in self.rows:
             acc = 0
-            while r:
-                low = r & -r
-                acc ^= other.rows[low.bit_length() - 1]
-                r ^= low
+            for i in support_of(r):
+                acc ^= other.rows[i]
             rows.append(acc)
         return BinMatrix(self.n, tuple(rows))
 
@@ -142,10 +127,8 @@ class BinMatrix:
 def _matrix_from_columns(n: int, cols) -> BinMatrix:
     rows = [0] * n
     for i, c in enumerate(cols):
-        while c:
-            low = c & -c
-            rows[low.bit_length() - 1] |= 1 << i
-            c ^= low
+        for j in support_of(c):
+            rows[j] |= 1 << i
     return BinMatrix(n, tuple(rows))
 
 
@@ -178,11 +161,3 @@ def matrix_of_squaring(field: IrreduciblePoly) -> BinMatrix:
 def matrix_of_sqrt(field: IrreduciblePoly) -> BinMatrix:
     """Matrix of the inverse Frobenius map a -> sqrt(a)."""
     return matrix_of_squaring(field).invert()
-
-
-def random_invertible(n: int, rng) -> BinMatrix:
-    """A uniformly random invertible n x n bit matrix (rejection sampling)."""
-    while True:
-        m = BinMatrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
-        if m.is_invertible():
-            return m

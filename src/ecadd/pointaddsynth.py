@@ -27,7 +27,6 @@ from functools import lru_cache
 from itertools import islice
 
 from .circuit_ir import (
-    CNOT,
     Circuit,
     ResourceReport,
     decompose_toffoli,  # not called here; bench/tracer.py wraps it at this site
@@ -52,11 +51,12 @@ from .fieldsynth import (
     RegisterRef,
     add_register,
     linear_layers,
+    standalone_multiplier,
     synth_add_inplace,
     synth_linear,
     synth_mult,
 )
-from .gf2field import FieldElem, IrreduciblePoly
+from .gf2field import IrreduciblePoly
 from .linmaps import matrix_of_const_mul, matrix_of_sqrt, matrix_of_squaring
 from .revsim import Simulator, to_lanes
 
@@ -74,7 +74,7 @@ REGISTER_ORDER = ("X1", "Y1", "Z1", "C", "Z3", "X3", "Bsq", "D", "Cp", "Z3p", "Y
 
 
 class SynthesisError(ValueError):
-    """Invalid synthesis input or configuration."""
+    """Invalid synthesis or verification input."""
 
 
 class BoundViolation(AssertionError):
@@ -82,18 +82,10 @@ class BoundViolation(AssertionError):
 
 
 @dataclass(frozen=True)
-class SynthesisOptions:
-    skip_a2_block_when_trivial: bool = True
-    allow_off_curve: bool = False
-    multiplier_variant: str = "maslov_shift"
-
-
-@dataclass(frozen=True)
 class PointAddLayout:
     """Register map of a synthesized point-addition circuit."""
 
     n: int
-    registers: dict
 
     def offset(self, name: str) -> int:
         return REGISTER_ORDER.index(name) * self.n
@@ -106,15 +98,9 @@ class PointAddLayout:
         return x1 | y1 << n | z1 << (2 * n)
 
 
-def layout_for(n: int) -> PointAddLayout:
-    return PointAddLayout(n, {name: i * n for i, name in enumerate(REGISTER_ORDER)})
-
-
 @lru_cache(maxsize=8)
 def multiplier_report(field: IrreduciblePoly) -> ResourceReport:
     """Measured cost of one standalone modular multiplier for this field."""
-    from .fieldsynth import standalone_multiplier
-
     return metrics(standalone_multiplier(field))
 
 
@@ -126,8 +112,8 @@ def _linear_block(circuit, label, matrix, src, dst, layers):
             synth_linear(circuit, matrix, src, dst, layers)
 
 
-def synth_point_add(curve: Curve, p2: AffinePoint,
-                    opts: SynthesisOptions | None = None
+def synth_point_add(curve: Curve, p2: AffinePoint, *,
+                    allow_off_curve: bool = False
                     ) -> tuple[Circuit, ResourceReport]:
     """Build the full 16-step addition circuit and its resource report.
 
@@ -136,16 +122,11 @@ def synth_point_add(curve: Curve, p2: AffinePoint,
     Clifford+T level, ``qcformat.write_qc(circuit, clifford_t=True)``
     expands each Toffoli as it writes it.
     """
-    opts = opts or SynthesisOptions()
-    if opts.multiplier_variant != "maslov_shift":
-        raise SynthesisError(
-            f"unknown multiplier variant {opts.multiplier_variant!r}"
-        )
     if p2.is_infinity:
         raise SynthesisError("the fixed point P2 must be affine (not O)")
     if p2.x.field.poly.bits != curve.field.poly.bits:
         raise SynthesisError("P2 does not live over the curve's field")
-    if not opts.allow_off_curve and not on_curve_affine(curve, p2):
+    if not allow_off_curve and not on_curve_affine(curve, p2):
         raise SynthesisError(
             "P2 is not on the curve (pass allow_off_curve to synthesize anyway)"
         )
@@ -153,7 +134,6 @@ def synth_point_add(curve: Curve, p2: AffinePoint,
     fld = curve.field
     n = fld.n
     x2, y2, a2 = p2.x, p2.y, curve.a2
-    one = fld.one()
 
     m_sq = matrix_of_squaring(fld)
     m_sqrt = matrix_of_sqrt(fld)
@@ -161,12 +141,7 @@ def synth_point_add(curve: Curve, p2: AffinePoint,
     m_sm = matrix_of_const_mul(y2) @ m_sq if y2.value else None
     xy = x2 + y2
     m_xyz = matrix_of_const_mul(xy) @ m_sq if xy.value else None
-    if a2.value == 0:
-        m_a2 = None
-    elif a2.value == 1 and opts.skip_a2_block_when_trivial:
-        m_a2 = "copy"  # degenerates to n parallel CNOTs
-    else:
-        m_a2 = matrix_of_const_mul(a2)
+    m_a2 = matrix_of_const_mul(a2) if a2.value else None
 
     # Edge colorings, computed once per distinct matrix.
     lay_sq = linear_layers(m_sq)
@@ -174,8 +149,7 @@ def synth_point_add(curve: Curve, p2: AffinePoint,
     lay_x2 = linear_layers(m_x2) if m_x2 is not None else None
     lay_sm = linear_layers(m_sm) if m_sm is not None else None
     lay_xyz = linear_layers(m_xyz) if m_xyz is not None else None
-    lay_a2 = (linear_layers(m_a2)
-              if m_a2 is not None and m_a2 != "copy" else None)
+    lay_a2 = linear_layers(m_a2) if m_a2 is not None else None
 
     c = Circuit()
     regs = {name: add_register(c, name, n) for name in REGISTER_ORDER}
@@ -183,13 +157,6 @@ def synth_point_add(curve: Curve, p2: AffinePoint,
     rc, rz3, rx3 = regs["C"], regs["Z3"], regs["X3"]
     rbsq, rd, rcp = regs["Bsq"], regs["D"], regs["Cp"]
     rz3p, ry3 = regs["Z3p"], regs["Y3"]
-
-    def a2_block(label):
-        with c.group(label):
-            if m_a2 == "copy":
-                synth_add_inplace(c, rc, rbsq)
-            elif m_a2 is not None:
-                synth_linear(c, m_a2, rc, rbsq, lay_a2)
 
     # 1: Y1 <- A = Y1 + y2 * Z1^2
     _linear_block(c, "SM", m_sm, rz1, ry1, lay_sm)
@@ -203,7 +170,7 @@ def synth_point_add(curve: Curve, p2: AffinePoint,
     _linear_block(c, "S", m_sq, ry1, rx3, lay_sq)
     _linear_block(c, "S", m_sq, rx1, rbsq, lay_sq)
     # 5: Bsq += a2 * C;  D <- x2 * Z3
-    a2_block("a2")
+    _linear_block(c, "a2", m_a2, rc, rbsq, lay_a2)
     _linear_block(c, "X", m_x2, rz3, rd, lay_x2)
     # 6: Bsq += A;  Cp <- C;  Z3p <- Z3
     synth_add_inplace(c, ry1, rbsq)
@@ -231,7 +198,7 @@ def synth_point_add(curve: Curve, p2: AffinePoint,
     synth_add_inplace(c, rz3, rz3p)
     # 13: reverse step 5
     _linear_block(c, "IX", m_x2, rz3, rd, lay_x2)
-    a2_block("Ia2")
+    _linear_block(c, "Ia2", m_a2, rc, rbsq, lay_a2)
     # 14: reverse the B squaring; C += sqrt(Z3) clears C.
     # (The A^2 share of step 4 is part of the output X3 and must stay.)
     _linear_block(c, "IS", m_sq, rx1, rbsq, lay_sq)
@@ -412,7 +379,7 @@ def verify_point_add(circuit: Circuit, curve: Curve, p2: AffinePoint,
     if exhaustive and n > EXHAUSTIVE_MAX_N:
         raise SynthesisError(
             f"exhaustive verification is limited to n <= {EXHAUSTIVE_MAX_N}")
-    layout = layout_for(n)
+    layout = PointAddLayout(n)
     if circuit.width != 11 * n:
         raise SynthesisError("circuit width does not match an 11n-wire layout")
     sim = Simulator(circuit)

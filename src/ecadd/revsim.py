@@ -80,8 +80,3 @@ class Simulator:
             raise ValueError("state out of range for circuit width")
         out = self.run_lanes([state >> i & 1 for i in range(self._width)], 1)
         return sum(bit << i for i, bit in enumerate(out))
-
-
-def simulate(circuit: Circuit, state: int) -> int:
-    """One-shot simulation of a classical circuit on a packed basis state."""
-    return Simulator(circuit).run(state)

@@ -27,6 +27,7 @@ from ecadd.circuit_ir import (
     Circuit,
 )
 from ecadd.gf2field import IrreduciblePoly
+from ecadd.linmaps import BinMatrix
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +152,14 @@ def _poly_text(bits: int) -> str:
         bits >>= 1
         i += 1
     return "+".join(terms)
+
+
+def random_invertible(n: int, rng: random.Random) -> BinMatrix:
+    """A uniformly random invertible n x n bit matrix (rejection sampling)."""
+    while True:
+        m = BinMatrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
+        if m.is_invertible():
+            return m
 
 
 # ----------------------------------------------------------------------
@@ -380,10 +389,10 @@ def ref_verify_point_add(circuit, curve, p2, exhaustive=False, samples=1000,
     inputs and failure texts are those of pointaddsynth."""
     from ecadd.ecoracle import (aldaoud_madd, affine_add, affine_equal,
                                 ld_to_affine)
-    from ecadd.pointaddsynth import (VerifyResult, _sampled_inputs,
-                                     exhaustive_inputs, layout_for)
+    from ecadd.pointaddsynth import (PointAddLayout, VerifyResult,
+                                     _sampled_inputs, exhaustive_inputs)
 
-    layout = layout_for(curve.field.n)
+    layout = PointAddLayout(curve.field.n)
 
     def check(p1):
         out = ref_simulate(circuit, layout.pack_inputs(

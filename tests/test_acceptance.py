@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     first_irreducible,
+    random_invertible,
     ref_field_mul,
     ref_inverts_squaring,
     ref_sqrt_columns,
@@ -34,13 +35,8 @@ from ecadd.linmaps import (
     matrix_of_const_mul,
     matrix_of_sqrt,
     matrix_of_squaring,
-    random_invertible,
 )
-from ecadd.pointaddsynth import (
-    SynthesisOptions,
-    synth_point_add,
-    verify_point_add,
-)
+from ecadd.pointaddsynth import synth_point_add, verify_point_add
 from ecadd.qcformat import circuit_from_qc, write_qc
 from ecadd.revsim import Simulator
 
@@ -138,8 +134,7 @@ def test_criterion_04_toy_circuit():
     fld = IrreduciblePoly.from_string("1+x")
     curve = Curve(fld.elem(1), fld.elem(1))
     p2 = AffinePoint(fld.elem(1), fld.elem(1))
-    _, report = synth_point_add(curve, p2,
-                                SynthesisOptions(allow_off_curve=True))
+    _, report = synth_point_add(curve, p2, allow_off_curve=True)
     got = (report.toffoli_count, report.width,
            report.decomposed.t_count, report.decomposed.t_depth)
     ok = got == (5, 11, 35, 16)
@@ -376,8 +371,7 @@ def test_criterion_11_qc_round_trip():
     fld = IrreduciblePoly.from_string("1+x")
     curve = Curve(fld.elem(1), fld.elem(1))
     p2 = AffinePoint(fld.elem(1), fld.elem(1))
-    circ, _ = synth_point_add(curve, p2,
-                              SynthesisOptions(allow_off_curve=True))
+    circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
     golden = (pathlib.Path(__file__).parent / "golden"
               / "toy_point_add.qc").read_text()
     stable = write_qc(circ) == golden

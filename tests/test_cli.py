@@ -20,6 +20,22 @@ def synth_args(out, extra=()):
             "--x2", "0x2", "--y2", "0x5", "--out", str(out), *extra]
 
 
+# The B163 field with the curve and base point of the DSS curve B-163.
+B163_VERIFY = [
+    "verify", "--poly", "1+x^3+x^6+x^7+x^163", "--a2", "0x1",
+    "--a6", "0x20a601907b8c953ca1481eb10512f78744a3205fd",
+    "--x2", "0x3f0eba16286a2d57ea0991168d4994637e8343e36",
+    "--y2", "0xd51fbc6c71a0094fa2cdd545b11c5c0c797324f1",
+    "--samples", "128"]
+
+
+@pytest.fixture(scope="module")
+def b163_circuit():
+    """The B163 circuit and report, synthesized once for the module."""
+    job = cli._job_from_args(cli.build_parser().parse_args(B163_VERIFY))
+    return cli.synth_point_add(job.curve, job.p2)
+
+
 class TestSynth:
     def test_writes_qc_and_report(self, tmp_path, capsys):
         out = tmp_path / "add.qc"
@@ -156,11 +172,37 @@ class TestVerify:
         monkeypatch.setenv("ECADD_SEED", "junk")
         assert cli._default_seed() == 0
 
-    def test_width_cap(self, capsys):
-        code = main(["verify", "--poly", "1+x^74+x^233", "--a2", "0x1",
-                     "--a6", "0x1", "--x2", "0x2", "--y2", "0x5",
-                     "--allow-off-curve"])
-        assert code == EXIT_VALIDATION
+    def test_b163_sampled_passes(self, capsys):
+        # A DSS field: sampled verification has no field-size cap.
+        assert main(B163_VERIFY) == EXIT_OK
+        assert "PASS: 128 cases" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mutant, failure", [
+        ("retarget", "X1 not restored"),
+        ("drop", "output differs from the mixed-addition formula"),
+    ], ids=["retarget", "drop"])
+    def test_b163_mutants_fail(self, b163_circuit, mutant, failure, capsys,
+                               monkeypatch):
+        from ecadd.circuit_ir import CNOT, TOFFOLI
+
+        # The first CNOT of the X block retargeted, or the first Toffoli
+        # dropped; the gate list is put back after the test.
+        circ, report = b163_circuit
+        gates = list(circ.gate_tuples())
+        if mutant == "retarget":
+            i = next(g.start for g in circ.top_level_groups()
+                     if g.label == "X")
+            kind, c, t = gates[i]
+            assert kind == CNOT
+            gates[i] = (CNOT, c, t + 1)
+        else:
+            i = next(k for k, g in enumerate(gates) if g[0] == TOFFOLI)
+            del gates[i]
+        monkeypatch.setattr(circ, "_gates", gates)
+        monkeypatch.setattr(cli, "synth_point_add",
+                            lambda *a, **k: (circ, report))
+        assert main(B163_VERIFY) == EXIT_VERIFY_FAIL
+        assert failure in capsys.readouterr().err
 
     def test_exhaustive_cap(self, capsys, monkeypatch):
         import ecadd.cli as cli
@@ -200,8 +242,8 @@ class TestVerify:
 
         real = pas.synth_point_add
 
-        def corrupted(curve, p2, opts=None):
-            circ, report = real(curve, p2, opts)
+        def corrupted(curve, p2, **kwargs):
+            circ, report = real(curve, p2, **kwargs)
             gates = circ.gate_tuples()
             for i, g in enumerate(gates):
                 if g[0] == TOFFOLI:

@@ -108,7 +108,7 @@ class TestColorEdges:
 
 class TestGraphOfMatrix:
     def test_edges_are_matrix_entries(self):
-        m = BinMatrix.from_lists([[1, 0], [1, 1]])
+        m = BinMatrix(2, (0b01, 0b11))
         g = graph_of_matrix(m)
         assert g.left_count == g.right_count == 2
         assert sorted(g.edges) == [(0, 0), (0, 1), (1, 1)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import first_irreducible, ref_field_mul
+from conftest import first_irreducible, random_invertible, ref_field_mul
 from ecadd.circuit_ir import CircuitError, metrics
 from ecadd.fieldsynth import (
     RegisterOverlap,
@@ -11,14 +11,15 @@ from ecadd.fieldsynth import (
     new_circuit,
     standalone_multiplier,
     synth_add_inplace,
-    synth_const_mul,
-    synth_const_mul_square,
     synth_linear,
     synth_mult,
-    synth_sqrt,
-    synth_square,
 )
-from ecadd.linmaps import BinMatrix, random_invertible
+from ecadd.linmaps import (
+    BinMatrix,
+    matrix_of_const_mul,
+    matrix_of_sqrt,
+    matrix_of_squaring,
+)
 from ecadd.revsim import Simulator
 
 
@@ -80,16 +81,17 @@ class TestFieldOps:
 
         cases = []
         c1, (s1, d1) = new_circuit(n, "s", "d")
-        synth_square(c1, fld, s1, d1)
+        synth_linear(c1, matrix_of_squaring(fld), s1, d1)
         cases.append((c1, lambda a: fld.elem(a).square().value))
         c2, (s2, d2) = new_circuit(n, "s", "d")
-        synth_sqrt(c2, fld, s2, d2)
+        synth_linear(c2, matrix_of_sqrt(fld), s2, d2)
         cases.append((c2, lambda a: fld.elem(a).sqrt().value))
         c3, (s3, d3) = new_circuit(n, "s", "d")
-        synth_const_mul(c3, k, s3, d3)
+        synth_linear(c3, matrix_of_const_mul(k), s3, d3)
         cases.append((c3, lambda a: (k * fld.elem(a)).value))
         c4, (s4, d4) = new_circuit(n, "s", "d")
-        synth_const_mul_square(c4, k, s4, d4)
+        synth_linear(c4, matrix_of_const_mul(k) @ matrix_of_squaring(fld),
+                     s4, d4)
         cases.append((c4, lambda a: (k * fld.elem(a).square()).value))
 
         for circ, f in cases:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import first_irreducible
+from conftest import first_irreducible, random_invertible
 from ecadd.gf2field import IrreduciblePoly
 from ecadd.linmaps import (
     BinMatrix,
@@ -12,7 +12,6 @@ from ecadd.linmaps import (
     matrix_of_const_mul,
     matrix_of_sqrt,
     matrix_of_squaring,
-    random_invertible,
 )
 
 
@@ -24,11 +23,10 @@ class TestBinMatrix:
         for v in range(16):
             assert m.apply(v) == v
 
-    def test_from_lists_and_entry(self):
-        m = BinMatrix.from_lists([[1, 0], [1, 1]])
+    def test_entry(self):
+        m = BinMatrix(2, (0b01, 0b11))
         assert m.entry(0, 0) == 1 and m.entry(0, 1) == 0
         assert m.entry(1, 0) == 1 and m.entry(1, 1) == 1
-        assert m.rows == (0b01, 0b11)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -37,15 +35,9 @@ class TestBinMatrix:
             BinMatrix(2, (1,))
         with pytest.raises(ValueError):
             BinMatrix(2, (1, 4))  # bit outside width
-        with pytest.raises(ValueError):
-            BinMatrix.from_lists([[1, 0, 0], [0, 1, 0]])
 
     def test_weights_and_degree(self):
-        m = BinMatrix.from_lists([
-            [1, 1, 0],
-            [0, 1, 0],
-            [1, 1, 1],
-        ])
+        m = BinMatrix(3, (0b011, 0b010, 0b111))
         assert m.weight == 6
         assert m.row_weights == (2, 1, 3)
         assert m.col_weights == (2, 3, 1)
@@ -85,11 +77,8 @@ class TestFieldMapBuilders:
     def test_const_mul_worked_example(self, f8):
         # Multiplication by 1+x+x^2 in F8 = F2[x]/(1+x+x^3).
         m = matrix_of_const_mul(f8.elem(0b111))
-        assert m == BinMatrix.from_lists([
-            [1, 1, 1],
-            [1, 0, 0],
-            [1, 1, 0],
-        ])
+        # Row j as a bitmask: bit i is the entry in column i.
+        assert m == BinMatrix(3, (0b111, 0b001, 0b011))
         assert m.weight == 6
         assert m.max_degree == 3
 

@@ -6,7 +6,12 @@ import random
 import pytest
 
 import ecadd.pointaddsynth as pas
-from conftest import first_irreducible, ref_exhaustive_inputs, ref_verify_point_add
+from conftest import (
+    first_irreducible,
+    ref_exhaustive_inputs,
+    ref_field_mul,
+    ref_verify_point_add,
+)
 from ecadd.circuit_ir import CNOT, TOFFOLI, metrics
 from ecadd.ecoracle import (
     AffinePoint,
@@ -20,19 +25,16 @@ from ecadd.pointaddsynth import (
     REGISTER_ORDER,
     EXHAUSTIVE_MAX_N,
     BoundViolation,
+    PointAddLayout,
     SynthesisError,
-    SynthesisOptions,
     check_bounds,
     exhaustive_inputs,
-    layout_for,
     multiplier_report,
     synth_point_add,
     verify_point_add,
 )
 from ecadd.qcformat import circuit_from_qc, write_qc
 from ecadd.revsim import Simulator
-
-TOY = SynthesisOptions(allow_off_curve=True)
 
 
 def toy_job():
@@ -63,26 +65,20 @@ class TestValidation:
         curve = Curve(f8.elem(1), f8.elem(1))
         with pytest.raises(SynthesisError):
             synth_point_add(curve, AffinePoint(f16.elem(1), f16.elem(1)),
-                            SynthesisOptions(allow_off_curve=True))
+                            allow_off_curve=True)
 
     def test_off_curve_rejected_without_flag(self, f8):
         curve = Curve(f8.elem(1), f8.elem(1))
         off = AffinePoint(f8.elem(1), f8.elem(1))
         with pytest.raises(SynthesisError):
             synth_point_add(curve, off)
-        synth_point_add(curve, off, TOY)  # flag accepts it
-
-    def test_unknown_multiplier_variant(self, f8):
-        curve = Curve(f8.elem(1), f8.elem(1))
-        with pytest.raises(SynthesisError):
-            synth_point_add(curve, AffinePoint(f8.elem(2), f8.elem(5)),
-                            SynthesisOptions(multiplier_variant="horner"))
+        synth_point_add(curve, off, allow_off_curve=True)  # flag accepts it
 
 
 class TestToyStructure:
     def test_resource_quadruple(self):
         curve, p2 = toy_job()
-        _, report = synth_point_add(curve, p2, TOY)
+        _, report = synth_point_add(curve, p2, allow_off_curve=True)
         assert report.width == 11
         assert report.toffoli_count == 5
         assert report.decomposed.t_count == 35
@@ -90,7 +86,7 @@ class TestToyStructure:
 
     def test_block_labels_in_order(self):
         curve, p2 = toy_job()
-        circ, _ = synth_point_add(curve, p2, TOY)
+        circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
         labels = [g.label for g in circ.top_level_groups()]
         # Multiplier blocks and the linear blocks around them.
         assert labels == ["SM", "X", "M", "S", "S", "S", "a2", "X", "M",
@@ -99,12 +95,45 @@ class TestToyStructure:
 
     def test_decompose_option_expands_toffolis(self):
         curve, p2 = toy_job()
-        circ, report = synth_point_add(curve, p2, TOY)
+        circ, report = synth_point_add(curve, p2, allow_off_curve=True)
         m = metrics(circuit_from_qc(write_qc(circ, clifford_t=True)))
         assert m.toffoli_count == 0
         assert m.t_count == 35
         # The report describes the Toffoli-level circuit.
         assert report.toffoli_count == 5
+
+
+class TestA2Block:
+    # Step 5's Bsq += a2 * C and its reversal.  For a2 = 1 the edge
+    # coloring of the identity must give the n transversal CNOTs in row
+    # order, the gates (and .qc bytes) of the DSS curves, which have
+    # a2 = 1.
+    @pytest.mark.parametrize("poly", ["n8", "1+x^3+x^6+x^7+x^163"])
+    @pytest.mark.parametrize("a2", [0, 1, 0b1011])
+    def test_a2_and_ia2_gates(self, poly, a2):
+        fld = (first_irreducible(8) if poly == "n8"
+               else IrreduciblePoly.from_string(poly))
+        n = fld.n
+        curve = Curve(fld.elem(a2), fld.elem(1))
+        p2 = AffinePoint(fld.elem(2), fld.elem(5))
+        circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
+        layout = PointAddLayout(n)
+        oc, ob = layout.offset("C"), layout.offset("Bsq")
+        # One CNOT C_i -> Bsq_j per set bit j of column i = a2 * x^i.
+        entries = [(CNOT, oc + i, ob + j) for i in range(n)
+                   for j in range(n)
+                   if ref_field_mul(a2, 1 << i, fld.poly.bits) >> j & 1]
+        gates = circ.gate_tuples()
+        blocks = {g.label: gates[g.start:g.end]
+                  for g in circ.top_level_groups()
+                  if g.label in ("a2", "Ia2")}
+        assert set(blocks) == {"a2", "Ia2"}
+        for label, got in blocks.items():
+            if a2 == 1:
+                assert got == [(CNOT, oc + i, ob + i) for i in range(n)]
+            else:
+                assert len(got) == len(entries), label
+                assert sorted(got) == sorted(entries), label
 
 
 class TestSemantics:
@@ -144,9 +173,9 @@ class TestSemantics:
         fld = first_irreducible(n)
         curve = Curve(fld.elem(1), fld.elem(2))
         p2 = AffinePoint(fld.elem(3), fld.elem(2))
-        circ, _ = synth_point_add(curve, p2, TOY)
+        circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
         sim = Simulator(circ)
-        layout = layout_for(n)
+        layout = PointAddLayout(n)
         for s in range(1 << (3 * n)):
             x1, y1, z1 = s & 3, s >> n & 3, s >> 2 * n & 3
             out = sim.run(layout.pack_inputs(x1, y1, z1))
@@ -244,7 +273,7 @@ class TestLaneVerification:
         # (X1, Y1, Z1), on the curve or not: one lane per input.
         curve, p2 = curve_with_point(n)
         circ, _ = synth_point_add(curve, p2)
-        layout = layout_for(n)
+        layout = PointAddLayout(n)
         m = 3 * n
         ins = [lane(i, m) for i in range(m)]
         out = Simulator(circ).run_lanes(ins + [0] * (circ.width - m),
@@ -326,7 +355,7 @@ class TestBounds:
 
 class TestLayout:
     def test_register_order_and_offsets(self):
-        lay = layout_for(4)
+        lay = PointAddLayout(4)
         assert REGISTER_ORDER[0] == "X1" and REGISTER_ORDER[-1] == "Y3"
         assert lay.offset("X1") == 0
         assert lay.offset("Y3") == 40

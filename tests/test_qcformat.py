@@ -236,13 +236,12 @@ class TestGolden:
     def test_toy_point_add_file_is_stable(self):
         from ecadd.ecoracle import AffinePoint, Curve
         from ecadd.gf2field import IrreduciblePoly
-        from ecadd.pointaddsynth import SynthesisOptions, synth_point_add
+        from ecadd.pointaddsynth import synth_point_add
 
         fld = IrreduciblePoly.from_string("1+x")
         curve = Curve(fld.elem(1), fld.elem(1))
         p2 = AffinePoint(fld.elem(1), fld.elem(1))
-        circ, _ = synth_point_add(curve, p2,
-                                  SynthesisOptions(allow_off_curve=True))
+        circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
         golden = (GOLDEN / "toy_point_add.qc").read_text()
         assert write_qc(circ) == golden
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import random_classical_circuit, ref_simulate
 from ecadd.circuit_ir import ARITY, CNOT, H, NOT, TOFFOLI, Circuit
-from ecadd.revsim import Simulator, UnsupportedGate, simulate, to_lanes
+from ecadd.revsim import Simulator, UnsupportedGate, to_lanes
 
 
 def build(width, gates):
@@ -21,26 +21,26 @@ def build(width, gates):
 class TestGateSemantics:
     def test_not(self):
         c = build(2, [(NOT, 1)])
-        assert simulate(c, 0b00) == 0b10
-        assert simulate(c, 0b10) == 0b00
+        assert Simulator(c).run(0b00) == 0b10
+        assert Simulator(c).run(0b10) == 0b00
 
     def test_cnot(self):
         c = build(2, [(CNOT, 0, 1)])
-        assert simulate(c, 0b00) == 0b00
-        assert simulate(c, 0b01) == 0b11
-        assert simulate(c, 0b10) == 0b10
-        assert simulate(c, 0b11) == 0b01
+        assert Simulator(c).run(0b00) == 0b00
+        assert Simulator(c).run(0b01) == 0b11
+        assert Simulator(c).run(0b10) == 0b10
+        assert Simulator(c).run(0b11) == 0b01
 
     def test_toffoli(self):
         c = build(3, [(TOFFOLI, 0, 1, 2)])
         for s in range(8):
             expect = s ^ 4 if (s & 3) == 3 else s
-            assert simulate(c, s) == expect
+            assert Simulator(c).run(s) == expect
 
     def test_out_permutation(self):
         c = build(2, [(NOT, 0)])
         c.out_permutation = [1, 0]  # logical output 0 reads physical wire 1
-        assert simulate(c, 0b00) == 0b10
+        assert Simulator(c).run(0b00) == 0b10
 
     def test_state_range_checked(self):
         sim = Simulator(build(2, []))
