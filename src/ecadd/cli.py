@@ -58,7 +58,6 @@ class JobSpec:
     field: IrreduciblePoly
     curve: Curve
     p2: AffinePoint
-    allow_off_curve: bool
 
 
 def _default_seed() -> int:
@@ -92,7 +91,7 @@ def _job_from_args(args) -> JobSpec:
     except PointError as exc:
         raise ValidationError(str(exc)) from exc
     p2 = AffinePoint(elem("--x2", args.x2), elem("--y2", args.y2))
-    return JobSpec(fld, curve, p2, args.allow_off_curve)
+    return JobSpec(fld, curve, p2)
 
 
 def report_to_json(job: JobSpec, report) -> dict:
@@ -146,7 +145,7 @@ def cmd_synth(args) -> int:
     job = _job_from_args(args)
     try:
         circuit, report = synth_point_add(
-            job.curve, job.p2, allow_off_curve=job.allow_off_curve)
+            job.curve, job.p2, allow_off_curve=args.allow_off_curve)
     except SynthesisError as exc:
         raise ValidationError(str(exc)) from exc
     out = args.out
@@ -202,8 +201,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(
             f"exhaustive verification is limited to n <= {EXHAUSTIVE_MAX_N}")
     try:
-        circuit, _ = synth_point_add(
-            job.curve, job.p2, allow_off_curve=job.allow_off_curve)
+        circuit, _ = synth_point_add(job.curve, job.p2)
         result = verify_point_add(
             circuit, job.curve, job.p2,
             exhaustive=args.exhaustive,
@@ -226,8 +224,6 @@ def _add_job_args(p: argparse.ArgumentParser):
     p.add_argument("--a6", required=True, help="curve coefficient a6 (hex or terms)")
     p.add_argument("--x2", required=True, help="fixed point x-coordinate")
     p.add_argument("--y2", required=True, help="fixed point y-coordinate")
-    p.add_argument("--allow-off-curve", action="store_true",
-                   help="skip the curve-membership check for (x2, y2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("synth", help="synthesize a .qc circuit and JSON report")
     _add_job_args(ps)
     ps.add_argument("--out", required=True, help="output path (.qc)")
+    ps.add_argument("--allow-off-curve", action="store_true",
+                    help="skip the curve-membership check for (x2, y2)")
     ps.add_argument("--decompose", action="store_true",
                     help="write each Toffoli as its Clifford+T template")
     ps.set_defaults(func=cmd_synth)

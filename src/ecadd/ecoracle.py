@@ -221,14 +221,20 @@ def scalar_mul(curve: Curve, k: int, p: AffinePoint) -> AffinePoint:
 
 
 def all_affine_points(curve: Curve) -> list[AffinePoint]:
-    """Every affine point, by exhaustive scan (small fields only)."""
+    """Every affine point, in ascending (x, y) order (small fields only).
+
+    x = 0 gives the one point (0, sqrt(a6)).  For x != 0, y = x z turns
+    the curve equation into z^2 + z = x + a2 + a6 / x^2, which has two
+    roots z and z + 1 or none: one quadratic solve per x."""
     field = curve.field
     if field.n > 8:
         raise ValueError("exhaustive point enumeration limited to n <= 8")
-    out = []
-    for xv in range(1 << field.n):
-        for yv in range(1 << field.n):
-            p = AffinePoint(field.elem(xv), field.elem(yv))
-            if on_curve_affine(curve, p):
-                out.append(p)
+    out = [AffinePoint(field.zero(), curve.a6.sqrt())]
+    one = field.one()
+    for xv in range(1, 1 << field.n):
+        x = field.elem(xv)
+        z = solve_quadratic(x + curve.a2 + curve.a6 / x.square())
+        if z is not None:
+            ys = sorted(((x * z).value, (x * (z + one)).value))
+            out += [AffinePoint(x, field.elem(y)) for y in ys]
     return out

@@ -12,12 +12,26 @@ everywhere an element or polynomial is read:
   e.g. "1+x^74+x^233";
 * hex: "0x..." where bit i of the integer is the coefficient a_i
   (least-significant bit = a_0).
+
+Every FieldElem operation goes through one per-modulus kernel
+(``IrreduciblePoly.kernel``), built once when the modulus is parsed.  It
+gives the same residues, bit for bit, as schoolbook arithmetic with long
+division, at a fraction of the cost (Hankerson-Menezes-Vanstone, *Guide
+to Elliptic Curve Cryptography*, 2004, section 2.3):
+
+* reduction folds the high part a >> n back through p's low terms, since
+  x^n = sum of x^e over them: one shift-XOR per term and pass, and two
+  or three passes for a product of sparse DSS-style moduli;
+* squaring spreads the bits, since (sum a_i x^i)^2 = sum a_i x^(2i) over
+  GF(2): reading a's binary digits in base 4 gives a^2, then one fold;
+* inversion is the shift-only extended Euclid (HMV Algorithm 2.48),
+  with no quotient polynomials and one final reduction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
 from operator import xor
 from typing import Optional
@@ -56,20 +70,6 @@ def poly_mul(a: int, b: int) -> int:
     return r
 
 
-def poly_divmod(a: int, b: int) -> tuple[int, int]:
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    db = poly_degree(b)
-    q = 0
-    while True:
-        da = poly_degree(a)
-        if da < db:
-            return q, a
-        shift = da - db
-        q |= 1 << shift
-        a ^= b << shift
-
-
 def poly_mod(a: int, m: int) -> int:
     if m == 0:
         raise ZeroDivisionError("reduction modulo the zero polynomial")
@@ -87,19 +87,56 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def poly_inv_mod(a: int, m: int) -> int:
-    """Inverse of a modulo m via the extended Euclidean algorithm."""
-    if poly_mod(a, m) == 0:
-        raise NotInvertible("polynomial has no inverse modulo the given modulus")
-    r0, r1 = m, poly_mod(a, m)
-    s0, s1 = 0, 1
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ poly_mul(q, s1)
-    if r0 != 1:
-        raise NotInvertible("operand shares a factor with the modulus")
-    return poly_mod(s0, m)
+class Kernel:
+    """Arithmetic on residues modulo one polynomial p of degree n >= 1.
+
+    Built once per modulus; p need not be irreducible except for
+    ``inverse``.  Operands are packed integers of degree < n, except
+    that ``reduce`` takes any a >= 0.
+    """
+
+    __slots__ = ("p", "n", "mask", "low")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.n = poly_degree(p)
+        self.mask = (1 << self.n) - 1
+        # x^n = sum of x^e over these exponents, modulo p.
+        self.low = support_of(p & self.mask)
+
+    def reduce(self, a: int) -> int:
+        """a mod p, by folding a >> n back through p's low terms."""
+        n, mask, low = self.n, self.mask, self.low
+        while hi := a >> n:
+            a &= mask
+            for e in low:
+                a ^= hi << e
+        return a
+
+    def mul(self, a: int, b: int) -> int:
+        return self.reduce(poly_mul(a, b))
+
+    def square(self, a: int) -> int:
+        # a^2 moves bit i of a to bit 2i: a's binary digits read in base 4.
+        return self.reduce(int(bin(a)[2:], 4))
+
+    def inverse(self, a: int) -> int:
+        """a^-1 mod p for a nonzero residue a, p irreducible.
+
+        Keeps a*g1 = u and a*g2 = v (mod p), starting from (u, v) =
+        (a, p), and cancels the leading term of the longer of u and v
+        with a shifted copy of the other until u = 1."""
+        u, v = a, self.p
+        g1, g2 = 1, 0
+        du, dv = u.bit_length(), v.bit_length()
+        while u != 1:
+            j = du - dv
+            if j < 0:
+                u, v, g1, g2, du, dv, j = v, u, g2, g1, dv, du, -j
+            u ^= v << j
+            g1 ^= g2 << j
+            du = u.bit_length()
+        return self.reduce(g1)
 
 
 _TERM_RE = re.compile(r"^(1|x|x\^(\d+))$")
@@ -185,13 +222,15 @@ def is_irreducible(q) -> bool:
     if n == 1:
         return True
     checkpoints = {n // r for r in _prime_factors(n)}
-    t = poly_mod(2, bits)  # x
+    kernel = Kernel(bits)
+    x = kernel.reduce(2)
+    t = x
     for k in range(1, n + 1):
-        t = poly_mod(poly_mul(t, t), bits)
+        t = kernel.square(t)
         if k in checkpoints:
             if poly_gcd(t ^ 2, bits) != 1:
                 return False
-    return t == poly_mod(2, bits)
+    return t == x
 
 
 # ----------------------------------------------------------------------
@@ -239,10 +278,13 @@ class IrreduciblePoly:
 
     The constant term must be 1 (true of every irreducible polynomial of
     degree >= 1 other than x itself, which generates no field extension
-    worth the name here).
+    worth the name here).  Equality, hashing and repr depend on ``poly``
+    only; ``n`` and the arithmetic ``kernel`` are derived from it once.
     """
 
     poly: Gf2Poly
+    n: int = dc_field(init=False, repr=False, compare=False)
+    kernel: Kernel = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bits = self.poly.bits
@@ -252,14 +294,13 @@ class IrreduciblePoly:
             raise ValueError("modulus must have constant term 1")
         if not is_irreducible(bits):
             raise ValueError(f"polynomial {self.poly} is reducible")
+        kernel = Kernel(bits)
+        object.__setattr__(self, "n", kernel.n)
+        object.__setattr__(self, "kernel", kernel)
 
     @classmethod
     def from_string(cls, text: str) -> "IrreduciblePoly":
         return cls(Gf2Poly.from_string(text))
-
-    @property
-    def n(self) -> int:
-        return self.poly.degree
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -273,7 +314,10 @@ class IrreduciblePoly:
         """Wrap an integer, hex string, or polynomial text as a field element."""
         if isinstance(value, str):
             value = parse_element_text(value)
-        return FieldElem(poly_mod(int(value), self.poly.bits), self)
+        value = int(value)
+        if value < 0:
+            raise ValueError("a field element cannot be negative")
+        return FieldElem(self.kernel.reduce(value), self)
 
     def zero(self) -> "FieldElem":
         return FieldElem(0, self)
@@ -288,31 +332,38 @@ class IrreduciblePoly:
         return str(self.poly)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FieldElem:
-    """An element of F2^n, stored as a width-n residue."""
+    """An element of F2^n, stored as a width-n residue.
+
+    The constructor checks the range of a value that comes from outside;
+    the results of the field operations are in range by construction and
+    skip it (``_wrap``)."""
 
     value: int
     field: IrreduciblePoly
 
-    def __post_init__(self):
-        if not 0 <= self.value < (1 << self.field.n):
+    def __init__(self, value: int, field: IrreduciblePoly):
+        if value < 0 or value >> field.n:
             raise ValueError("element out of range for the field")
+        _set_value(self, value)
+        _set_field(self, field)
 
     def _check(self, other: "FieldElem"):
-        if self.field.poly.bits != other.field.poly.bits:
+        if self.field is not other.field \
+                and self.field.poly.bits != other.field.poly.bits:
             raise ModulusMismatch("operands live in different fields")
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
-        return FieldElem(self.value ^ other.value, self.field)
+        return _wrap(self.value ^ other.value, self.field)
 
     __sub__ = __add__
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
-        p = self.field.poly.bits
-        return FieldElem(poly_mod(poly_mul(self.value, other.value), p), self.field)
+        field = self.field
+        return _wrap(field.kernel.mul(self.value, other.value), field)
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
@@ -321,28 +372,30 @@ class FieldElem:
         return self.value != 0
 
     def square(self) -> "FieldElem":
-        p = self.field.poly.bits
-        return FieldElem(poly_mod(poly_mul(self.value, self.value), p), self.field)
+        field = self.field
+        return _wrap(field.kernel.square(self.value), field)
 
     def sqrt(self) -> "FieldElem":
         """Unique square root, via (n-1)-fold squaring (a^(2^(n-1)))."""
-        r = self
+        square = self.field.kernel.square
+        r = self.value
         for _ in range(self.field.n - 1):
-            r = r.square()
-        return r
+            r = square(r)
+        return _wrap(r, self.field)
 
     def inverse(self) -> "FieldElem":
         if self.value == 0:
             raise NotInvertible("inverse of zero")
-        return FieldElem(poly_inv_mod(self.value, self.field.poly.bits), self.field)
+        field = self.field
+        return _wrap(field.kernel.inverse(self.value), field)
 
     def trace(self) -> int:
         """Absolute trace, as an int in {0, 1}."""
-        t = self
-        s = self.value
+        square = self.field.kernel.square
+        t = s = self.value
         for _ in range(self.field.n - 1):
-            t = t.square()
-            s ^= t.value
+            t = square(t)
+            s ^= t
         if s not in (0, 1):
             raise AssertionError("trace left the prime field")
         return s
@@ -359,10 +412,24 @@ class FieldElem:
         h = 0
         for i in support_of(self.value):
             h ^= cols[i]
-        return FieldElem(h, self.field)
+        return _wrap(h, self.field)
 
     def __str__(self) -> str:
         return poly_to_text(self.value)
+
+
+# The slot setters of the frozen FieldElem.
+_set_value = FieldElem.value.__set__
+_set_field = FieldElem.field.__set__
+_new = object.__new__
+
+
+def _wrap(value: int, field: IrreduciblePoly) -> FieldElem:
+    """A FieldElem for a kernel result, which is in range by construction."""
+    e = _new(FieldElem)
+    _set_value(e, value)
+    _set_field(e, field)
+    return e
 
 
 @lru_cache(maxsize=16)
@@ -373,10 +440,11 @@ def _half_trace_columns(modulus: int) -> tuple[int, ...]:
     squaring of all n elements is one XOR per nonzero entry of the
     squaring matrix (row r lists the i whose x^(2i) mod p has bit r).
     """
-    n = poly_degree(modulus)
+    kernel = Kernel(modulus)
+    n = kernel.n
     rows: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        for r in support_of(poly_mod(1 << (2 * i), modulus)):
+        for r in support_of(kernel.square(1 << i)):
             rows[r].append(i)
     power = [1 << r for r in range(n)]
     acc = list(power)
@@ -397,10 +465,10 @@ def _quadratic_solver(modulus: int) -> tuple[tuple[int, int, int], ...]:
     row is (pivot bit, image, preimage): no other row's image has the
     pivot bit set, and preimage^2 + preimage = image.
     """
-    n = poly_degree(modulus)
+    kernel = Kernel(modulus)
     rows: list[list[int]] = []
-    for i in range(1, n):
-        image = poly_mod(1 << (2 * i), modulus) ^ (1 << i)
+    for i in range(1, kernel.n):
+        image = kernel.square(1 << i) ^ (1 << i)
         pre = 1 << i
         for pivot, r_image, r_pre in rows:
             if image >> pivot & 1:
@@ -437,4 +505,4 @@ def solve_quadratic(c: FieldElem) -> Optional[FieldElem]:
         if rest >> pivot & 1:
             rest ^= image
             z ^= pre
-    return FieldElem(z, field) if rest == 0 else None
+    return _wrap(z, field) if rest == 0 else None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2field import FieldElem, IrreduciblePoly, poly_mod, support_of
+from .gf2field import FieldElem, IrreduciblePoly, support_of
 
 
 class SingularMatrixError(ValueError):
@@ -112,13 +112,6 @@ class BinMatrix:
                     aug[j] ^= prow
         return BinMatrix(n, tuple(r >> n for r in aug))
 
-    def is_invertible(self) -> bool:
-        try:
-            self.invert()
-            return True
-        except SingularMatrixError:
-            return False
-
 
 # ----------------------------------------------------------------------
 # Field-map builders
@@ -136,25 +129,25 @@ def matrix_of_const_mul(c: FieldElem) -> BinMatrix:
     """Matrix of multiplication by a nonzero constant c in F2^n."""
     if c.value == 0:
         raise SingularMatrixError("multiplication by zero is singular")
-    p = c.field.poly.bits
+    reduce = c.field.kernel.reduce
     n = c.field.n
     cols = []
     cur = c.value
     for _ in range(n):
         cols.append(cur)
-        cur = poly_mod(cur << 1, p)
+        cur = reduce(cur << 1)
     return _matrix_from_columns(n, cols)
 
 
 def matrix_of_squaring(field: IrreduciblePoly) -> BinMatrix:
     """Matrix of the Frobenius map a -> a^2; column i is x^(2i) mod p."""
-    p = field.poly.bits
+    reduce = field.kernel.reduce
     n = field.n
     cols = []
     cur = 1
     for _ in range(n):
         cols.append(cur)
-        cur = poly_mod(cur << 2, p)
+        cur = reduce(cur << 2)
     return _matrix_from_columns(n, cols)
 
 

@@ -61,8 +61,8 @@ from .linmaps import matrix_of_const_mul, matrix_of_sqrt, matrix_of_squaring
 from .revsim import Simulator, to_lanes
 
 # The largest n for exhaustive verification: n = 7 checks 17,653 cases in
-# about 3.4 s and n = 8 checks 72,675 in about 15 s (2 vCPUs), most of it
-# in the oracle.  It is also the limit of ecoracle.all_affine_points,
+# about 1.6 s and n = 8 checks 65,025 in about 6.5 s (2 vCPUs), most of
+# it in the oracle.  It is also the limit of ecoracle.all_affine_points,
 # which lists the points.
 EXHAUSTIVE_MAX_N = 8
 
@@ -369,9 +369,9 @@ def verify_point_add(circuit: Circuit, curve: Curve, p2: AffinePoint,
     Exhaustive mode sweeps every on-curve Lopez-Dahab representative that
     satisfies the generic-case precondition, about 4^n cases, for
     n <= EXHAUSTIVE_MAX_N; otherwise ``samples`` seeded random
-    representatives are drawn.  Cases run through the circuit
-    VERIFY_CHUNK at a time, one per lane; the result names the first
-    failing case in input order.
+    representatives are drawn.  P2 must lie on the curve.  Cases run
+    through the circuit VERIFY_CHUNK at a time, one per lane; the result
+    names the first failing case in input order.
     """
     if not exhaustive and samples < 1:
         raise SynthesisError(f"sample count must be at least 1, got {samples}")
@@ -382,6 +382,10 @@ def verify_point_add(circuit: Circuit, curve: Curve, p2: AffinePoint,
     layout = PointAddLayout(n)
     if circuit.width != 11 * n:
         raise SynthesisError("circuit width does not match an 11n-wire layout")
+    # Neither check of a case reads a6, so off the curve they would pass
+    # without saying anything about the group law.
+    if not on_curve_affine(curve, p2):
+        raise SynthesisError("P2 is not on the curve")
     sim = Simulator(circuit)
     inputs = (exhaustive_inputs(curve, p2) if exhaustive
               else _sampled_inputs(curve, p2, samples, seed))

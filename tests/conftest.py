@@ -27,7 +27,7 @@ from ecadd.circuit_ir import (
     Circuit,
 )
 from ecadd.gf2field import IrreduciblePoly
-from ecadd.linmaps import BinMatrix
+from ecadd.linmaps import BinMatrix, SingularMatrixError
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +66,37 @@ def ref_poly_mod(a: int, m: int) -> int:
 
 def ref_field_mul(a: int, b: int, modulus: int) -> int:
     return ref_poly_mod(ref_poly_mul(a, b), modulus)
+
+
+def ref_poly_divmod(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder of long division over GF(2)."""
+    if b == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = b.bit_length() - 1
+    q = 0
+    while True:
+        da = a.bit_length() - 1
+        if da < db:
+            return q, a
+        shift = da - db
+        q |= 1 << shift
+        a ^= b << shift
+
+
+def ref_poly_inv_mod(a: int, m: int) -> int:
+    """Inverse of a modulo m by the extended Euclidean algorithm, with
+    full quotient polynomials."""
+    r0, r1 = m, ref_poly_mod(a, m)
+    if r1 == 0:
+        raise ZeroDivisionError("polynomial has no inverse modulo m")
+    s0, s1 = 0, 1
+    while r1:
+        q, r = ref_poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ ref_poly_mul(q, s1)
+    if r0 != 1:
+        raise ZeroDivisionError("operand shares a factor with the modulus")
+    return ref_poly_mod(s0, m)
 
 
 def ref_is_irreducible(bits: int) -> bool:
@@ -154,11 +185,19 @@ def _poly_text(bits: int) -> str:
     return "+".join(terms)
 
 
+def is_invertible(m: BinMatrix) -> bool:
+    try:
+        m.invert()
+        return True
+    except SingularMatrixError:
+        return False
+
+
 def random_invertible(n: int, rng: random.Random) -> BinMatrix:
     """A uniformly random invertible n x n bit matrix (rejection sampling)."""
     while True:
         m = BinMatrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
-        if m.is_invertible():
+        if is_invertible(m):
             return m
 
 
@@ -363,6 +402,25 @@ def ref_exhaustive_inputs(curve, p2) -> list[tuple[int, int, int]]:
                 if affine_equal(pa, p2) or affine_equal(pa, negate(p2)):
                     continue
                 out.append((xv, yv, zv))
+    return out
+
+
+# ----------------------------------------------------------------------
+# Reference point list: every (x, y) pair tested against the curve
+# ----------------------------------------------------------------------
+
+def ref_all_affine_points(curve):
+    """Every affine point, by testing all 4^n pairs (x, y) in ascending
+    order against the curve equation."""
+    from ecadd.ecoracle import AffinePoint, on_curve_affine
+
+    fld = curve.field
+    out = []
+    for xv in range(1 << fld.n):
+        for yv in range(1 << fld.n):
+            p = AffinePoint(fld.elem(xv), fld.elem(yv))
+            if on_curve_affine(curve, p):
+                out.append(p)
     return out
 
 

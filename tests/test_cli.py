@@ -212,7 +212,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "synth_point_add", None)
         code = main(["verify", "--poly", "1+x^4+x^9", "--a2", "0x1",
                      "--a6", "0x1", "--x2", "0x2", "--y2", "0x5",
-                     "--allow-off-curve", "--exhaustive"])
+                     "--exhaustive"])
         assert EXHAUSTIVE_MAX_N < 9
         assert code == EXIT_VALIDATION
         assert f"limited to n <= {EXHAUSTIVE_MAX_N}" in capsys.readouterr().err
@@ -230,6 +230,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "no generic-case input" in captured.err
+
+    def test_off_curve_point_rejected(self, capsys):
+        # No per-case check reads a6, so this P2 would pass all 200
+        # cases.  --allow-off-curve is a synth flag only.
+        off = ["verify", "--poly", "1+x+x^7", "--a2", "0x1", "--a6", "0x1",
+               "--x2", "0x2", "--y2", "0x5", "--samples", "200"]
+        assert main(off) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "not on the curve" in captured.err
+        with pytest.raises(SystemExit):
+            main(off + ["--allow-off-curve"])
 
     def test_decompose_is_a_synth_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import first_irreducible
+from conftest import first_irreducible, ref_all_affine_points
 from ecadd.ecoracle import (
     AffinePoint,
     Curve,
@@ -189,6 +189,23 @@ class TestEnumeration:
         fld = first_irreducible(9)
         with pytest.raises(ValueError):
             all_affine_points(Curve(fld.elem(1), fld.elem(1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_points_match_scan_every_curve(self, n):
+        fld = first_irreducible(n)
+        for a2v in range(1 << n):
+            for a6v in range(1, 1 << n):
+                curve = Curve(fld.elem(a2v), fld.elem(a6v))
+                assert all_affine_points(curve) == ref_all_affine_points(curve)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_points_match_scan_seeded_curves(self, n):
+        fld = first_irreducible(n)
+        rng = random.Random(n)
+        for _ in range(2):
+            curve = Curve(fld.elem(rng.getrandbits(n)),
+                          fld.elem(rng.randrange(1, 1 << n)))
+            assert all_affine_points(curve) == ref_all_affine_points(curve)
 
     def test_point_count_hasse_bound(self):
         # |#E - (q + 1)| <= 2 sqrt(q) including the point at infinity.

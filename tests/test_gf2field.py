@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     first_irreducible,
     ref_field_mul,
     ref_is_irreducible,
+    ref_poly_divmod,
+    ref_poly_inv_mod,
     ref_poly_mod,
     ref_half_trace,
     ref_poly_mul,
@@ -23,9 +27,7 @@ from ecadd.gf2field import (
     parse_element_text,
     parse_poly_text,
     poly_degree,
-    poly_divmod,
     poly_gcd,
-    poly_inv_mod,
     poly_mod,
     poly_mul,
     poly_to_text,
@@ -81,14 +83,12 @@ class TestPolyArithmetic:
         for _ in range(300):
             a = rng.getrandbits(30)
             b = rng.getrandbits(12) | 1 << 12
-            q, r = poly_divmod(a, b)
+            q, r = ref_poly_divmod(a, b)
             assert poly_degree(r) < poly_degree(b)
             assert poly_mul(q, b) ^ r == a
             assert poly_mod(a, b) == r == ref_poly_mod(a, b)
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            poly_divmod(5, 0)
         with pytest.raises(ZeroDivisionError):
             poly_mod(5, 0)
 
@@ -99,13 +99,14 @@ class TestPolyArithmetic:
             if a or b:
                 assert poly_mod(a, g) == 0 and poly_mod(b, g) == 0
 
-    def test_inv_mod(self, rng):
-        m = 0b10011  # 1+x+x^4, irreducible
+    def test_inv_mod(self, f16):
+        m = f16.poly.bits  # 1+x+x^4, irreducible
         for a in range(1, 16):
-            inv = poly_inv_mod(a, m)
-            assert poly_mod(poly_mul(a, inv), m) == 1
+            inv = f16.elem(a).inverse().value
+            assert inv == ref_poly_inv_mod(a, m)
+            assert ref_field_mul(a, inv, m) == 1
         with pytest.raises(NotInvertible):
-            poly_inv_mod(0, m)
+            f16.zero().inverse()
 
 
 class TestIrreducibility:
@@ -236,6 +237,8 @@ class TestFieldElem:
             FieldElem(8, f8)
         with pytest.raises(ValueError):
             FieldElem(-1, f8)
+        with pytest.raises(ValueError):
+            f8.elem(-100)  # never reduced: folding a negative value would not end
 
 
 class TestSolveQuadratic:
@@ -286,3 +289,41 @@ class TestGf2PolyWrapper:
         assert (b % a).bits == ref_poly_mod(b.bits, a.bits)
         assert a.degree == 1 and a.support == (0, 1)
         assert str(a) == "1+x"
+
+
+DSS_MODULI = ("1+x^3+x^6+x^7+x^163", "1+x^74+x^233", "1+x^5+x^7+x^12+x^283",
+              "1+x^87+x^409", "1+x^2+x^5+x^10+x^571")
+KERNEL_FIELDS = ([first_irreducible(n) for n in range(1, 25)]
+                 + [IrreduciblePoly.from_string(t) for t in DSS_MODULI])
+
+
+@st.composite
+def field_and_values(draw):
+    """A modulus of degree n and two values of up to 2n bits."""
+    fld = draw(st.sampled_from(KERNEL_FIELDS))
+    value = st.integers(0, (1 << (2 * fld.n)) - 1)
+    return fld, draw(value), draw(value)
+
+
+class TestKernelExactness:
+    """Each FieldElem operation gives the residue of schoolbook
+    arithmetic with long division, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(field_and_values())
+    @example((first_irreducible(1), 0, 1))
+    @example((first_irreducible(1), 3, 2))
+    @example((KERNEL_FIELDS[-1], 0, 1))
+    @example((KERNEL_FIELDS[-1], (1 << 1142) - 1, 1 << 1141))
+    def test_matches_reference(self, case):
+        fld, u, v = case
+        p = fld.poly.bits
+        a, b = fld.elem(u), fld.elem(v)
+        assert a.value == ref_poly_mod(u, p)
+        assert b.value == ref_poly_mod(v, p)
+        assert (a * b).value == ref_field_mul(a.value, b.value, p)
+        assert a.square().value == ref_field_mul(a.value, a.value, p)
+        root = a.sqrt().value
+        assert ref_field_mul(root, root, p) == a.value
+        if a.value:
+            assert ref_field_mul(a.value, a.inverse().value, p) == 1

@@ -1,5 +1,6 @@
 """The full point-addition circuit: structure, semantics, bounds."""
 
+import hashlib
 import itertools
 import random
 
@@ -238,6 +239,14 @@ class TestSemantics:
         with pytest.raises(SynthesisError):
             verify_point_add(circ, curve, p2, samples=samples)
 
+    def test_verification_rejects_off_curve_point(self, f128):
+        # No per-case check reads a6, so an off-curve P2 would pass them.
+        curve = Curve(f128.elem(1), f128.elem(1))
+        off = AffinePoint(f128.elem(2), f128.elem(5))
+        circ, _ = synth_point_add(curve, off, allow_off_curve=True)
+        with pytest.raises(SynthesisError, match="not on the curve"):
+            verify_point_add(circ, curve, off, samples=200)
+
 
 def mutations(circ, step):
     """Mutate ``circ``'s gate list in place, yielding after each change
@@ -323,6 +332,35 @@ class TestLaneVerification:
         circ, _ = synth_point_add(curve, p2)
         with pytest.raises(SynthesisError, match="no generic-case input"):
             verify_point_add(circ, curve, p2, exhaustive=True)
+
+
+class TestSampledInputs:
+    # sha256 of the first 256 seeded inputs "X,Y,Z;" (hex), as drawn with
+    # schoolbook field arithmetic (long division, quotient-polynomial
+    # inverse): the draws must not depend on how the arithmetic is done.
+    # n = 17 solves quadratics by the half-trace, n = 18 by Gauss-Jordan;
+    # the last field is the B-163 curve.
+    @pytest.mark.parametrize("n, digest", [
+        (17, "fe99dd8fcd391bb49907493d059e573c089e03617cf594626b5c972d3024633d"),
+        (18, "73fe5a369f23fa17f845e4b6f550859509568e9e12711b21761576d5e8e1fab2"),
+        (163, "6584fa44cda5854e040f99fa304af5529864b808b6d8a87dbc4a65ddfc039110"),
+    ])
+    def test_first_draws_pinned(self, n, digest):
+        if n == 163:
+            fld = IrreduciblePoly.from_string("1+x^3+x^6+x^7+x^163")
+            curve = Curve(fld.elem(1), fld.elem(
+                0x20a601907b8c953ca1481eb10512f78744a3205fd))
+            p2 = AffinePoint(
+                fld.elem(0x3f0eba16286a2d57ea0991168d4994637e8343e36),
+                fld.elem(0xd51fbc6c71a0094fa2cdd545b11c5c0c797324f1))
+        else:
+            fld = first_irreducible(n)
+            curve = Curve(fld.elem(1), fld.elem(1))
+            p2 = random_point(curve, random.Random(n))
+        h = hashlib.sha256()
+        for p1 in pas._sampled_inputs(curve, p2, 256, 7):
+            h.update(f"{p1.X.value:x},{p1.Y.value:x},{p1.Z.value:x};".encode())
+        assert h.hexdigest() == digest
 
 
 class TestBounds:
