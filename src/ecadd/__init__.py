@@ -11,7 +11,7 @@ text format (:mod:`ecadd.qcformat`).
 
 from .circuit_ir import Circuit, ResourceReport, decompose_toffoli, metrics
 from .ecoracle import AffinePoint, Curve, LDPoint, affine_add, aldaoud_madd
-from .gf2field import FieldElem, Gf2Poly, IrreduciblePoly
+from .gf2field import FieldElem, IrreduciblePoly
 from .linmaps import BinMatrix
 from .pointaddsynth import synth_point_add, verify_point_add
 from .qcformat import parse_qc, write_qc
@@ -23,7 +23,6 @@ __all__ = [
     "Circuit",
     "Curve",
     "FieldElem",
-    "Gf2Poly",
     "IrreduciblePoly",
     "LDPoint",
     "ResourceReport",

@@ -27,6 +27,7 @@ from .linmaps import matrix_of_sqrt, matrix_of_squaring
 from .pointaddsynth import (
     EXHAUSTIVE_MAX_N,
     BoundViolation,
+    OffCurveError,
     SynthesisError,
     multiplier_report,
     synth_point_add,
@@ -143,13 +144,18 @@ def _write_file(path: str, text: str):
 
 def cmd_synth(args) -> int:
     job = _job_from_args(args)
+    out = args.out
+    base = out[:-3] if out.endswith(".qc") else out
+    if not os.path.basename(base):
+        raise ValidationError(f"--out {out!r} names no file")
     try:
         circuit, report = synth_point_add(
             job.curve, job.p2, allow_off_curve=args.allow_off_curve)
+    except OffCurveError as exc:
+        raise ValidationError(
+            f"{exc} (pass --allow-off-curve to synthesize anyway)") from exc
     except SynthesisError as exc:
         raise ValidationError(str(exc)) from exc
-    out = args.out
-    base = out[:-3] if out.endswith(".qc") else out
     qc_path = base + ".qc"
     report_path = base + ".report.json"
     _write_file(qc_path, write_qc(circuit, clifford_t=args.decompose))

@@ -13,11 +13,13 @@ everywhere an element or polynomial is read:
 * hex: "0x..." where bit i of the integer is the coefficient a_i
   (least-significant bit = a_0).
 
-Every FieldElem operation goes through one per-modulus kernel
-(``IrreduciblePoly.kernel``), built once when the modulus is parsed.  It
-gives the same residues, bit for bit, as schoolbook arithmetic with long
-division, at a fraction of the cost (Hankerson-Menezes-Vanstone, *Guide
-to Elliptic Curve Cryptography*, 2004, section 2.3):
+A field is one object per modulus: ``IrreduciblePoly`` holds p as a
+packed integer with its degree, mask and low terms, computed once when
+the modulus is parsed, and carries the arithmetic that every FieldElem
+operation goes through.  It gives the same residues, bit for bit, as
+schoolbook arithmetic with long division, at a fraction of the cost
+(Hankerson-Menezes-Vanstone, *Guide to Elliptic Curve Cryptography*,
+2004, section 2.3):
 
 * reduction folds the high part a >> n back through p's low terms, since
   x^n = sum of x^e over them: one shift-XOR per term and pass, and two
@@ -31,8 +33,8 @@ to Elliptic Curve Cryptography*, 2004, section 2.3):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from operator import xor
 from typing import Optional
 
@@ -90,19 +92,28 @@ def poly_gcd(a: int, b: int) -> int:
 class Kernel:
     """Arithmetic on residues modulo one polynomial p of degree n >= 1.
 
-    Built once per modulus; p need not be irreducible except for
+    Immutable; p (``bits``) need not be irreducible except for
     ``inverse``.  Operands are packed integers of degree < n, except
     that ``reduce`` takes any a >= 0.
     """
 
-    __slots__ = ("p", "n", "mask", "low")
+    __slots__ = ("bits", "n", "mask", "low")
 
-    def __init__(self, p: int):
-        self.p = p
-        self.n = poly_degree(p)
-        self.mask = (1 << self.n) - 1
+    def __init__(self, bits: int):
+        n = poly_degree(bits)
+        mask = (1 << n) - 1
+        init = object.__setattr__
+        init(self, "bits", bits)
+        init(self, "n", n)
+        init(self, "mask", mask)
         # x^n = sum of x^e over these exponents, modulo p.
-        self.low = support_of(p & self.mask)
+        init(self, "low", support_of(bits & mask))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} "
+                             "is immutable")
+
+    __delattr__ = __setattr__
 
     def reduce(self, a: int) -> int:
         """a mod p, by folding a >> n back through p's low terms."""
@@ -126,7 +137,7 @@ class Kernel:
         Keeps a*g1 = u and a*g2 = v (mod p), starting from (u, v) =
         (a, p), and cancels the leading term of the longer of u and v
         with a shifted copy of the other until u = 1."""
-        u, v = a, self.p
+        u, v = a, self.bits
         g1, g2 = 1, 0
         du, dv = u.bit_length(), v.bit_length()
         while u != 1:
@@ -207,13 +218,12 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_irreducible(q) -> bool:
-    """Rabin irreducibility test over GF(2).
+def is_irreducible(bits: int) -> bool:
+    """Rabin irreducibility test over GF(2) of q, packed as ``bits``.
 
     Checks x^(2^n) == x (mod q) and gcd(x^(2^(n/r)) - x, q) = 1 for every
     prime r dividing n.
     """
-    bits = q.bits if isinstance(q, Gf2Poly) else int(q)
     if bits == 0:
         raise ValueError("irreducibility of the zero polynomial is undefined")
     n = poly_degree(bits)
@@ -233,82 +243,47 @@ def is_irreducible(q) -> bool:
     return t == x
 
 
-# ----------------------------------------------------------------------
-# Wrapper types
-# ----------------------------------------------------------------------
+class IrreduciblePoly(Kernel):
+    """An irreducible polynomial p of degree n >= 1, defining F2^n.
 
-@dataclass(frozen=True)
-class Gf2Poly:
-    """A polynomial over GF(2), packed into an integer."""
+    The constant term must be 1 (true of every irreducible polynomial of
+    degree >= 1 other than x itself, which generates no field extension
+    worth the name here).  Immutable; equality and hashing depend on
+    ``bits`` only.  The arithmetic is the kernel's, and the two linear
+    solvers of ``solve_quadratic`` are computed on first use and kept.
+    """
 
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 0:
-            raise ValueError("negative bit pattern")
+    def __init__(self, bits: int):
+        if bits < 2:
+            raise ValueError("modulus must have degree >= 1")
+        if not bits & 1:
+            raise ValueError("modulus must have constant term 1")
+        if not is_irreducible(bits):
+            raise ValueError(f"polynomial {poly_to_text(bits)} is reducible")
+        super().__init__(bits)
 
     @classmethod
-    def from_string(cls, text: str) -> "Gf2Poly":
+    def from_string(cls, text: str) -> "IrreduciblePoly":
         return cls(parse_poly_text(text))
 
-    @property
-    def degree(self) -> int:
-        return poly_degree(self.bits)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
+
+    def __repr__(self) -> str:
+        return f"IrreduciblePoly.from_string({str(self)!r})"
 
     @property
     def support(self) -> tuple[int, ...]:
         return support_of(self.bits)
 
-    def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(self.bits ^ other.bits)
-
-    def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(poly_mul(self.bits, other.bits))
-
-    def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(poly_mod(self.bits, other.bits))
-
-    def __str__(self) -> str:
-        return poly_to_text(self.bits)
-
-
-@dataclass(frozen=True)
-class IrreduciblePoly:
-    """An irreducible polynomial p of degree n >= 1, defining F2^n.
-
-    The constant term must be 1 (true of every irreducible polynomial of
-    degree >= 1 other than x itself, which generates no field extension
-    worth the name here).  Equality, hashing and repr depend on ``poly``
-    only; ``n`` and the arithmetic ``kernel`` are derived from it once.
-    """
-
-    poly: Gf2Poly
-    n: int = dc_field(init=False, repr=False, compare=False)
-    kernel: Kernel = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bits = self.poly.bits
-        if bits == 0 or poly_degree(bits) < 1:
-            raise ValueError("modulus must have degree >= 1")
-        if not bits & 1:
-            raise ValueError("modulus must have constant term 1")
-        if not is_irreducible(bits):
-            raise ValueError(f"polynomial {self.poly} is reducible")
-        kernel = Kernel(bits)
-        object.__setattr__(self, "n", kernel.n)
-        object.__setattr__(self, "kernel", kernel)
-
-    @classmethod
-    def from_string(cls, text: str) -> "IrreduciblePoly":
-        return cls(Gf2Poly.from_string(text))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.poly.support
-
     @property
     def weight(self) -> int:
-        return self.poly.bits.bit_count()
+        return self.bits.bit_count()
 
     def elem(self, value) -> "FieldElem":
         """Wrap an integer, hex string, or polynomial text as a field element."""
@@ -317,7 +292,7 @@ class IrreduciblePoly:
         value = int(value)
         if value < 0:
             raise ValueError("a field element cannot be negative")
-        return FieldElem(self.kernel.reduce(value), self)
+        return FieldElem(self.reduce(value), self)
 
     def zero(self) -> "FieldElem":
         return FieldElem(0, self)
@@ -329,7 +304,56 @@ class IrreduciblePoly:
         return self.elem(2)
 
     def __str__(self) -> str:
-        return str(self.poly)
+        return poly_to_text(self.bits)
+
+    @cached_property
+    def _half_trace_columns(self) -> tuple[int, ...]:
+        """H(x^i) for i < n (odd n), all n columns computed at once.
+
+        Bit i of lane r is coefficient r of the running power of x^i, so
+        one squaring of all n elements is one XOR per nonzero entry of
+        the squaring matrix (row r lists the i whose x^(2i) mod p has
+        bit r).
+        """
+        n = self.n
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            for r in support_of(self.square(1 << i)):
+                rows[r].append(i)
+        power = [1 << r for r in range(n)]
+        acc = list(power)
+        for _ in range((n - 1) // 2):
+            for _ in range(2):
+                power = [reduce(xor, [power[i] for i in row], 0)
+                         for row in rows]
+            acc = [a ^ p for a, p in zip(acc, power)]
+        return tuple(sum((acc[r] >> i & 1) << r for r in range(n))
+                     for i in range(n))
+
+    @cached_property
+    def _quadratic_solver(self) -> tuple[tuple[int, int, int], ...]:
+        """Gauss-Jordan form of z -> z^2 + z on the span of x, ..., x^(n-1).
+
+        The map is GF(2)-linear with kernel {0, 1}, so it is injective on
+        that span and the span's image is the whole image.  Each returned
+        row is (pivot bit, image, preimage): no other row's image has the
+        pivot bit set, and preimage^2 + preimage = image.
+        """
+        rows: list[list[int]] = []
+        for i in range(1, self.n):
+            image = self.square(1 << i) ^ (1 << i)
+            pre = 1 << i
+            for pivot, r_image, r_pre in rows:
+                if image >> pivot & 1:
+                    image ^= r_image
+                    pre ^= r_pre
+            pivot = image.bit_length() - 1
+            for row in rows:
+                if row[1] >> pivot & 1:
+                    row[1] ^= image
+                    row[2] ^= pre
+            rows.append([pivot, image, pre])
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -351,7 +375,7 @@ class FieldElem:
 
     def _check(self, other: "FieldElem"):
         if self.field is not other.field \
-                and self.field.poly.bits != other.field.poly.bits:
+                and self.field.bits != other.field.bits:
             raise ModulusMismatch("operands live in different fields")
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
@@ -363,7 +387,7 @@ class FieldElem:
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
         field = self.field
-        return _wrap(field.kernel.mul(self.value, other.value), field)
+        return _wrap(field.mul(self.value, other.value), field)
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
@@ -373,11 +397,11 @@ class FieldElem:
 
     def square(self) -> "FieldElem":
         field = self.field
-        return _wrap(field.kernel.square(self.value), field)
+        return _wrap(field.square(self.value), field)
 
     def sqrt(self) -> "FieldElem":
         """Unique square root, via (n-1)-fold squaring (a^(2^(n-1)))."""
-        square = self.field.kernel.square
+        square = self.field.square
         r = self.value
         for _ in range(self.field.n - 1):
             r = square(r)
@@ -387,11 +411,11 @@ class FieldElem:
         if self.value == 0:
             raise NotInvertible("inverse of zero")
         field = self.field
-        return _wrap(field.kernel.inverse(self.value), field)
+        return _wrap(field.inverse(self.value), field)
 
     def trace(self) -> int:
         """Absolute trace, as an int in {0, 1}."""
-        square = self.field.kernel.square
+        square = self.field.square
         t = s = self.value
         for _ in range(self.field.n - 1):
             t = square(t)
@@ -408,7 +432,7 @@ class FieldElem:
         n = self.field.n
         if n % 2 == 0:
             raise UnsupportedField("half-trace requires odd extension degree")
-        cols = _half_trace_columns(self.field.poly.bits)
+        cols = self.field._half_trace_columns
         h = 0
         for i in support_of(self.value):
             h ^= cols[i]
@@ -425,69 +449,18 @@ _new = object.__new__
 
 
 def _wrap(value: int, field: IrreduciblePoly) -> FieldElem:
-    """A FieldElem for a kernel result, which is in range by construction."""
+    """A FieldElem for a field-operation result, in range by construction."""
     e = _new(FieldElem)
     _set_value(e, value)
     _set_field(e, field)
     return e
 
 
-@lru_cache(maxsize=16)
-def _half_trace_columns(modulus: int) -> tuple[int, ...]:
-    """H(x^i) for i < n (odd n), all n columns computed at once.
-
-    Bit i of lane r is coefficient r of the running power of x^i, so one
-    squaring of all n elements is one XOR per nonzero entry of the
-    squaring matrix (row r lists the i whose x^(2i) mod p has bit r).
-    """
-    kernel = Kernel(modulus)
-    n = kernel.n
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for r in support_of(kernel.square(1 << i)):
-            rows[r].append(i)
-    power = [1 << r for r in range(n)]
-    acc = list(power)
-    for _ in range((n - 1) // 2):
-        for _ in range(2):
-            power = [reduce(xor, [power[i] for i in row], 0) for row in rows]
-        acc = [a ^ p for a, p in zip(acc, power)]
-    return tuple(sum((acc[r] >> i & 1) << r for r in range(n))
-                 for i in range(n))
-
-
-@lru_cache(maxsize=16)
-def _quadratic_solver(modulus: int) -> tuple[tuple[int, int, int], ...]:
-    """Gauss-Jordan form of z -> z^2 + z on the span of x, ..., x^(n-1).
-
-    The map is GF(2)-linear with kernel {0, 1}, so it is injective on
-    that span and the span's image is the whole image.  Each returned
-    row is (pivot bit, image, preimage): no other row's image has the
-    pivot bit set, and preimage^2 + preimage = image.
-    """
-    kernel = Kernel(modulus)
-    rows: list[list[int]] = []
-    for i in range(1, kernel.n):
-        image = kernel.square(1 << i) ^ (1 << i)
-        pre = 1 << i
-        for pivot, r_image, r_pre in rows:
-            if image >> pivot & 1:
-                image ^= r_image
-                pre ^= r_pre
-        pivot = image.bit_length() - 1
-        for row in rows:
-            if row[1] >> pivot & 1:
-                row[1] ^= image
-                row[2] ^= pre
-        rows.append([pivot, image, pre])
-    return tuple(map(tuple, rows))
-
-
 def solve_quadratic(c: FieldElem) -> Optional[FieldElem]:
     """A solution z of z^2 + z = c, or None when none exists.
 
     Odd n uses the half-trace.  Even n solves the linear system of
-    z -> z^2 + z by a Gauss-Jordan elimination cached per modulus and
+    z -> z^2 + z by a Gauss-Jordan elimination kept on the field and
     returns the root with bit 0 clear (the other root is z + 1).
     """
     field = c.field
@@ -501,7 +474,7 @@ def solve_quadratic(c: FieldElem) -> Optional[FieldElem]:
         return None
     rest = c.value
     z = 0
-    for pivot, image, pre in _quadratic_solver(field.poly.bits):
+    for pivot, image, pre in field._quadratic_solver:
         if rest >> pivot & 1:
             rest ^= image
             z ^= pre

@@ -129,7 +129,7 @@ def matrix_of_const_mul(c: FieldElem) -> BinMatrix:
     """Matrix of multiplication by a nonzero constant c in F2^n."""
     if c.value == 0:
         raise SingularMatrixError("multiplication by zero is singular")
-    reduce = c.field.kernel.reduce
+    reduce = c.field.reduce
     n = c.field.n
     cols = []
     cur = c.value
@@ -141,7 +141,7 @@ def matrix_of_const_mul(c: FieldElem) -> BinMatrix:
 
 def matrix_of_squaring(field: IrreduciblePoly) -> BinMatrix:
     """Matrix of the Frobenius map a -> a^2; column i is x^(2i) mod p."""
-    reduce = field.kernel.reduce
+    reduce = field.reduce
     n = field.n
     cols = []
     cur = 1

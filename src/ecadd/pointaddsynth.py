@@ -33,6 +33,7 @@ from .circuit_ir import (
     metrics,
 )
 from .ecoracle import (
+    EXHAUSTIVE_MAX_N,
     AffinePoint,
     Curve,
     LDPoint,
@@ -60,12 +61,6 @@ from .gf2field import IrreduciblePoly
 from .linmaps import matrix_of_const_mul, matrix_of_sqrt, matrix_of_squaring
 from .revsim import Simulator, to_lanes
 
-# The largest n for exhaustive verification: n = 7 checks 17,653 cases in
-# about 1.6 s and n = 8 checks 65,025 in about 6.5 s (2 vCPUs), most of
-# it in the oracle.  It is also the limit of ecoracle.all_affine_points,
-# which lists the points.
-EXHAUSTIVE_MAX_N = 8
-
 # Cases per simulator pass in verification (lane k is case k of a chunk);
 # fixed, so memory does not grow with the sample count.
 VERIFY_CHUNK = 128
@@ -75,6 +70,10 @@ REGISTER_ORDER = ("X1", "Y1", "Z1", "C", "Z3", "X3", "Bsq", "D", "Cp", "Z3p", "Y
 
 class SynthesisError(ValueError):
     """Invalid synthesis or verification input."""
+
+
+class OffCurveError(SynthesisError):
+    """The fixed point P2 does not satisfy the curve equation."""
 
 
 class BoundViolation(AssertionError):
@@ -124,12 +123,10 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     """
     if p2.is_infinity:
         raise SynthesisError("the fixed point P2 must be affine (not O)")
-    if p2.x.field.poly.bits != curve.field.poly.bits:
+    if p2.x.field.bits != curve.field.bits:
         raise SynthesisError("P2 does not live over the curve's field")
     if not allow_off_curve and not on_curve_affine(curve, p2):
-        raise SynthesisError(
-            "P2 is not on the curve (pass allow_off_curve to synthesize anyway)"
-        )
+        raise OffCurveError("P2 is not on the curve")
 
     fld = curve.field
     n = fld.n
@@ -385,7 +382,7 @@ def verify_point_add(circuit: Circuit, curve: Curve, p2: AffinePoint,
     # Neither check of a case reads a6, so off the curve they would pass
     # without saying anything about the group law.
     if not on_curve_affine(curve, p2):
-        raise SynthesisError("P2 is not on the curve")
+        raise OffCurveError("P2 is not on the curve")
     sim = Simulator(circuit)
     inputs = (exhaustive_inputs(curve, p2) if exhaustive
               else _sampled_inputs(curve, p2, samples, seed))

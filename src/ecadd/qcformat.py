@@ -28,7 +28,6 @@ preserving the first occurrence verbatim.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .circuit_ir import (
@@ -60,27 +59,6 @@ class QcSemanticError(ValueError):
 _ONE_WIRE = {"H": H, "T": T, "T*": T_DAGGER, "S": S, "S*": S_DAGGER}
 _ONE_WIRE_NAMES = {v: k for k, v in _ONE_WIRE.items()}
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-@dataclass(frozen=True)
-class QcGate:
-    kind: int
-    wires: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class QcSubcircuit:
-    name: str
-    gates: tuple[QcGate, ...]
-
-
-@dataclass(frozen=True)
-class QcDocument:
-    variables: tuple[str, ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    subcircuits: tuple[QcSubcircuit, ...]
-    main: tuple = field(default=())  # QcGate or str (invocation)
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +150,7 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> str:
 # Parsing
 # ----------------------------------------------------------------------
 
-def _parse_gate(tokens, lineno, declared) -> QcGate:
+def _parse_gate(tokens, lineno, wire_ids) -> tuple:
     op = tokens[0]
     args = tokens[1:]
     if op == "tof":
@@ -186,28 +164,29 @@ def _parse_gate(tokens, lineno, declared) -> QcGate:
     else:
         raise QcSyntaxError(f"unknown gate {op!r}", lineno)
     for a in args:
-        if a not in declared:
+        if a not in wire_ids:
             raise QcSyntaxError(f"undeclared wire {a!r}", lineno)
     if len(set(args)) != len(args):
         raise QcSyntaxError("gate wires must be distinct", lineno)
-    return QcGate(kind, tuple(args))
+    return (kind, *(wire_ids[a] for a in args))
 
 
-def parse_qc(text: str) -> QcDocument:
-    """Parse .qc text into a document; raises QcSyntaxError with a line
-    number on malformed input."""
-    variables: tuple[str, ...] | None = None
-    inputs: tuple[str, ...] = ()
+def parse_qc(text: str) -> Circuit:
+    """Parse .qc text into a circuit, in which each subcircuit invocation
+    is a labeled group of the subcircuit's gates.
+
+    Raises QcSyntaxError with a line number on malformed input, and
+    QcSemanticError when ``.o`` is not a permutation of ``.v``.
+    """
+    circuit = Circuit()
+    wire_ids: dict[str, int] | None = None  # None until the .v line
     outputs: tuple[str, ...] = ()
-    subs: list[QcSubcircuit] = []
-    sub_names: set[str] = set()
-    main: list = []
+    subs: dict[str, tuple] = {}  # subcircuit name -> its gate tuples
     seen_main = False
 
     in_block = False
     block_name: str | None = None  # None = main block
-    block_items: list = []
-    declared: set[str] = set()
+    block_gates: list = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -221,22 +200,19 @@ def parse_qc(text: str) -> QcDocument:
                 if not _NAME_RE.match(name):
                     raise QcSyntaxError(f"bad wire name {name!r}", lineno)
             if tag == ".v":
-                if variables is not None:
+                if wire_ids is not None:
                     raise QcSyntaxError("duplicate .v line", lineno)
                 if len(set(rest)) != len(rest):
                     raise QcSyntaxError("repeated wire in .v", lineno)
-                variables = tuple(rest)
-                declared = set(rest)
+                wire_ids = {name: circuit.add_wire(name) for name in rest}
             elif tag in (".i", ".o"):
-                if variables is None:
+                if wire_ids is None:
                     raise QcSyntaxError(f"{tag} before .v", lineno)
-                bad = [w for w in rest if w not in declared]
+                bad = [w for w in rest if w not in wire_ids]
                 if bad:
                     raise QcSyntaxError(f"{tag} names undeclared wire {bad[0]!r}",
                                         lineno)
-                if tag == ".i":
-                    inputs = tuple(rest)
-                else:
+                if tag == ".o":
                     outputs = tuple(rest)
             else:
                 raise QcSyntaxError(f"unknown directive {tag}", lineno)
@@ -245,7 +221,7 @@ def parse_qc(text: str) -> QcDocument:
         if tokens[0] == "BEGIN":
             if in_block:
                 raise QcSyntaxError("nested BEGIN", lineno)
-            if variables is None:
+            if wire_ids is None:
                 raise QcSyntaxError("BEGIN before .v", lineno)
             if len(tokens) == 1:
                 if seen_main:
@@ -254,7 +230,7 @@ def parse_qc(text: str) -> QcDocument:
             elif len(tokens) == 2:
                 if not _NAME_RE.match(tokens[1]):
                     raise QcSyntaxError(f"bad subcircuit name {tokens[1]!r}", lineno)
-                if tokens[1] in sub_names:
+                if tokens[1] in subs:
                     raise QcSyntaxError(f"redefined subcircuit {tokens[1]!r}", lineno)
                 if seen_main:
                     raise QcSyntaxError("subcircuit defined after main block", lineno)
@@ -262,7 +238,7 @@ def parse_qc(text: str) -> QcDocument:
             else:
                 raise QcSyntaxError("BEGIN takes at most one name", lineno)
             in_block = True
-            block_items = []
+            block_gates = []
             continue
 
         if tokens[0] == "END":
@@ -271,7 +247,6 @@ def parse_qc(text: str) -> QcDocument:
             if block_name is None:
                 if len(tokens) != 1:
                     raise QcSyntaxError("main END takes no name", lineno)
-                main = block_items
                 seen_main = True
             else:
                 if len(tokens) == 2 and tokens[1] != block_name:
@@ -280,8 +255,7 @@ def parse_qc(text: str) -> QcDocument:
                         f"{block_name!r}", lineno)
                 if len(tokens) > 2:
                     raise QcSyntaxError("END takes at most one name", lineno)
-                subs.append(QcSubcircuit(block_name, tuple(block_items)))
-                sub_names.add(block_name)
+                subs[block_name] = tuple(block_gates)
             in_block = False
             continue
 
@@ -291,8 +265,9 @@ def parse_qc(text: str) -> QcDocument:
         if len(tokens) == 1:
             # A bare name is a subcircuit invocation; defined names win
             # over gate mnemonics (a gate line always has wire operands).
-            if block_name is None and tokens[0] in sub_names:
-                block_items.append(tokens[0])
+            if block_name is None and tokens[0] in subs:
+                with circuit.group(tokens[0]):
+                    circuit.extend_raw(subs[tokens[0]])
                 continue
             if tokens[0] not in _ONE_WIRE and tokens[0] != "tof":
                 if block_name is not None:
@@ -301,40 +276,22 @@ def parse_qc(text: str) -> QcDocument:
                         lineno)
                 raise QcSyntaxError(f"undefined subcircuit {tokens[0]!r}", lineno)
 
-        block_items.append(_parse_gate(tokens, lineno, declared))
+        gate = _parse_gate(tokens, lineno, wire_ids)
+        if block_name is None:
+            circuit.extend_raw((gate,))
+        else:
+            block_gates.append(gate)
 
     if in_block:
         raise QcSyntaxError("unterminated block at end of file", len(text.splitlines()))
-    if variables is None:
+    if wire_ids is None:
         raise QcSyntaxError("missing .v line", 1)
     if not seen_main:
         raise QcSyntaxError("missing main BEGIN/END block", len(text.splitlines()))
-    return QcDocument(variables, inputs, outputs, tuple(subs), tuple(main))
-
-
-def to_circuit(doc: QcDocument) -> Circuit:
-    """Expand a parsed document into a flat circuit; each subcircuit
-    invocation becomes a labeled group."""
-    c = Circuit()
-    for name in doc.variables:
-        c.add_wire(name)
-    sub_map = {s.name: s for s in doc.subcircuits}
-    for item in doc.main:
-        if isinstance(item, str):
-            sub = sub_map[item]
-            with c.group(sub.name):
-                for g in sub.gates:
-                    c.append(g.kind, *(c.wire_id(w) for w in g.wires))
-        else:
-            c.append(item.kind, *(c.wire_id(w) for w in item.wires))
-    if doc.outputs:
-        if sorted(doc.outputs) != sorted(doc.variables):
+    if outputs:
+        if sorted(outputs) != sorted(wire_ids):
             raise QcSemanticError(
                 ".o must be a permutation of .v to define the output order"
             )
-        c.out_permutation = [c.wire_id(w) for w in doc.outputs]
-    return c
-
-
-def circuit_from_qc(text: str) -> Circuit:
-    return to_circuit(parse_qc(text))
+        circuit.out_permutation = [wire_ids[w] for w in outputs]
+    return circuit

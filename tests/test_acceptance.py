@@ -37,7 +37,7 @@ from ecadd.linmaps import (
     matrix_of_squaring,
 )
 from ecadd.pointaddsynth import synth_point_add, verify_point_add
-from ecadd.qcformat import circuit_from_qc, write_qc
+from ecadd.qcformat import parse_qc, write_qc
 from ecadd.revsim import Simulator
 
 
@@ -50,7 +50,7 @@ DSS_NAMES = ("B163", "B233", "B283", "B409", "B571")
 
 def reference_cnots(kind, name):
     """CNOTs of the one-CNOT-per-entry synthesis: the reference matrix weight."""
-    modulus = IrreduciblePoly.from_string(dict(NIST_POLYS)[name]).poly.bits
+    modulus = IrreduciblePoly.from_string(dict(NIST_POLYS)[name]).bits
     cols = ref_squaring_columns if kind == "squaring" else ref_sqrt_columns
     return ref_weight(cols(modulus))
 
@@ -88,7 +88,7 @@ def pinned_table_check(num, kind, pinned, budget_s, below_weight):
     if kind == "sqrt":
         for name, poly in NIST_POLYS:
             fld = IrreduciblePoly.from_string(poly)
-            if not ref_inverts_squaring(matrix_of_sqrt(fld), fld.poly.bits):
+            if not ref_inverts_squaring(matrix_of_sqrt(fld), fld.bits):
                 mismatches.append(f"{name} sqrt matrix does not invert "
                                   f"the reference squaring matrix")
     ok = not mismatches and elapsed < budget_s
@@ -251,10 +251,10 @@ def test_criterion_07_trinomial_ceilings():
         sr = sr_matrix.weight
         if sq > 3 * n:
             violations.append(f"{text}: squaring {sq} > {3 * n}")
-        if not ref_inverts_squaring(sr_matrix, fld.poly.bits):
+        if not ref_inverts_squaring(sr_matrix, fld.bits):
             violations.append(f"{text}: sqrt matrix does not invert squaring")
         if m % 2 == 0:
-            want = ref_weight(ref_sqrt_columns(fld.poly.bits))
+            want = ref_weight(ref_sqrt_columns(fld.bits))
             if sr != want:
                 violations.append(f"{text}: sqrt {sr}, reference {want}")
             even_m[n, m] = sr
@@ -324,7 +324,7 @@ def test_criterion_10_multiplier_oracle_equivalence():
         assert metrics(circ).toffoli_count == n * n
         sim = Simulator(circ)
         mask = (1 << n) - 1
-        mod = fld.poly.bits
+        mod = fld.bits
         for s in range(1 << (3 * n)):
             a, b, acc = s & mask, s >> n & mask, s >> 2 * n & mask
             want = s ^ (ref_field_mul(a, b, mod) << (2 * n))
@@ -337,7 +337,7 @@ def test_criterion_10_multiplier_oracle_equivalence():
         circ = standalone_multiplier(fld)
         assert metrics(circ).toffoli_count == n * n
         sim = Simulator(circ)
-        mod = fld.poly.bits
+        mod = fld.bits
         mask = (1 << n) - 1
         for _ in range(10_000):
             s = rng.getrandbits(3 * n)
@@ -359,7 +359,7 @@ def test_criterion_11_qc_round_trip():
     rng = random.Random(1111)
     for _ in range(1000):
         c = random_classical_circuit(rng)
-        back = circuit_from_qc(write_qc(c))
+        back = parse_qc(write_qc(c))
         mc, mb = metrics(c), metrics(back)
         assert (mc.counts, mc.depth, mc.width) == (mb.counts, mb.depth,
                                                    mb.width)

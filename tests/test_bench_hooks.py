@@ -31,3 +31,17 @@ def test_traced_decompose_job(tmp_path):
     # The Clifford+T text is expanded as it is written, without a copy.
     assert "circuit_ir.decompose" not in names
     assert "T* " in qc.read_text()
+
+
+def test_traced_verify_job():
+    argv = ["verify", "--poly", "1+x+x^7", "--a2", "0x1", "--a6", "0x1",
+            "--x2", "0x0", "--y2", "0x1", "--samples", "50"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "job.py"), str(ROOT / "src"), "1"]
+        + argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    counts = result["trace"]["counts"]
+    assert counts["ecoracle.cases"] == 50
+    assert counts["gf2field.solve_quadratic_calls"] > 0

@@ -70,7 +70,9 @@ class TestSynth:
         bad = ["synth", "--poly", "1+x+x^3", "--a2", "0x1", "--a6", "0x1",
                "--x2", "0x3", "--y2", "0x5", "--out", str(tmp_path / "y.qc")]
         assert main(bad) == EXIT_VALIDATION
-        assert "not on the curve" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: P2 is not on the curve "
+            "(pass --allow-off-curve to synthesize anyway)\n")
         assert main(bad + ["--allow-off-curve"]) == EXIT_OK
 
     def test_bad_element_text(self, tmp_path, capsys):
@@ -97,6 +99,15 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("out", ["", "somedir/", ".qc", "somedir/.qc"])
+    def test_out_without_file_stem_rejected(self, out, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "somedir").mkdir()
+        assert main(synth_args(out)) == EXIT_VALIDATION
+        assert "names no file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["somedir"]
 
     def test_decompose_flag(self, tmp_path, capsys):
         out = tmp_path / "d.qc"
@@ -239,7 +250,7 @@ class TestVerify:
         assert main(off) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
-        assert "not on the curve" in captured.err
+        assert captured.err == "error: P2 is not on the curve\n"
         with pytest.raises(SystemExit):
             main(off + ["--allow-off-curve"])
 

@@ -107,7 +107,7 @@ class TestMultiplier:
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_against_reference(self, n):
         fld = first_irreducible(n)
-        mod = fld.poly.bits
+        mod = fld.bits
         circ = standalone_multiplier(fld)
         sim = Simulator(circ)
         mask = (1 << n) - 1

@@ -129,7 +129,7 @@ class TestFieldMapBuilders:
         for text in ("1+x^3+x^6+x^7+x^163", "1+x^74+x^233",
                      "1+x^5+x^7+x^12+x^283"):
             fld = IrreduciblePoly.from_string(text)
-            p = fld.poly.bits
+            p = fld.bits
             expect = sum(
                 poly_mod(1 << (2 * i), p).bit_count() for i in range(fld.n)
             )

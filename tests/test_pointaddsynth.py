@@ -34,7 +34,7 @@ from ecadd.pointaddsynth import (
     synth_point_add,
     verify_point_add,
 )
-from ecadd.qcformat import circuit_from_qc, write_qc
+from ecadd.qcformat import parse_qc, write_qc
 from ecadd.revsim import Simulator
 
 
@@ -97,7 +97,7 @@ class TestToyStructure:
     def test_decompose_option_expands_toffolis(self):
         curve, p2 = toy_job()
         circ, report = synth_point_add(curve, p2, allow_off_curve=True)
-        m = metrics(circuit_from_qc(write_qc(circ, clifford_t=True)))
+        m = metrics(parse_qc(write_qc(circ, clifford_t=True)))
         assert m.toffoli_count == 0
         assert m.t_count == 35
         # The report describes the Toffoli-level circuit.
@@ -123,7 +123,7 @@ class TestA2Block:
         # One CNOT C_i -> Bsq_j per set bit j of column i = a2 * x^i.
         entries = [(CNOT, oc + i, ob + j) for i in range(n)
                    for j in range(n)
-                   if ref_field_mul(a2, 1 << i, fld.poly.bits) >> j & 1]
+                   if ref_field_mul(a2, 1 << i, fld.bits) >> j & 1]
         gates = circ.gate_tuples()
         blocks = {g.label: gates[g.start:g.end]
                   for g in circ.top_level_groups()

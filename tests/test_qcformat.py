@@ -22,9 +22,7 @@ from ecadd.circuit_ir import (
 from ecadd.qcformat import (
     QcSemanticError,
     QcSyntaxError,
-    circuit_from_qc,
     parse_qc,
-    to_circuit,
     write_qc,
 )
 from ecadd.revsim import Simulator
@@ -147,7 +145,7 @@ class TestWriter:
 class TestParser:
     def test_round_trip_small(self):
         c = small_circuit()
-        back = circuit_from_qc(write_qc(c))
+        back = parse_qc(write_qc(c))
         assert back.wires == c.wires
         assert metrics(back).counts == metrics(c).counts
         for s in range(8):
@@ -160,7 +158,7 @@ class TestParser:
                 perm = list(range(c.width))
                 rng.shuffle(perm)
                 c.out_permutation = perm
-            back = circuit_from_qc(write_qc(c))
+            back = parse_qc(write_qc(c))
             mc, mb = metrics(c), metrics(back)
             assert (mc.counts, mc.depth, mc.t_depth, mc.width) == \
                    (mb.counts, mb.depth, mb.t_depth, mb.width)
@@ -172,9 +170,9 @@ class TestParser:
     def test_comments_and_blank_lines(self):
         text = (".v a b  # wires\n\n.i a b\n.o a b\n"
                 "BEGIN\n# nothing yet\ntof a b\nEND\n")
-        doc = parse_qc(text)
-        assert doc.variables == ("a", "b")
-        assert len(doc.main) == 1
+        c = parse_qc(text)
+        assert c.wires == ["a", "b"]
+        assert c.num_gates == 1
 
     @pytest.mark.parametrize("text, lineno", [
         ("BEGIN\nEND\n", 1),                             # BEGIN before .v
@@ -216,20 +214,20 @@ class TestParser:
         text = (".v a b\n.i a b\n.o a b\n"
                 "BEGIN SM\ntof a b\nEND SM\n"
                 "BEGIN\nSM\ntof b a\nEND\n")
-        c = to_circuit(parse_qc(text))
+        c = parse_qc(text)
         assert [g.label for g in c.top_level_groups()] == ["SM"]
         assert c.num_gates == 2
 
     def test_output_permutation(self):
         text = ".v a b\n.i a b\n.o b a\nBEGIN\ntof a\nEND\n"
-        c = circuit_from_qc(text)
+        c = parse_qc(text)
         # Logical output 0 reads wire b: NOT on a lands in output bit 1.
         assert Simulator(c).run(0b00) == 0b10
 
     def test_bad_output_set_rejected(self):
         text = ".v a b\n.i a b\n.o a a\nBEGIN\nEND\n"
         with pytest.raises(QcSemanticError):
-            circuit_from_qc(text)
+            parse_qc(text)
 
 
 class TestGolden:
@@ -247,12 +245,11 @@ class TestGolden:
 
     def test_golden_file_parses_and_has_block_labels(self):
         text = (GOLDEN / "toy_point_add.qc").read_text()
-        doc = parse_qc(text)
-        names = [s.name for s in doc.subcircuits]
+        c = parse_qc(text)
+        names = [g.label for g in c.top_level_groups()]
         for label in ("SM", "X", "M", "S", "a2", "xyZ", "IM", "IX",
                       "Ia2", "IS", "SR", "ISM"):
             assert any(nm == label or nm.startswith(label + "_")
                        for nm in names), label
-        c = to_circuit(doc)
         assert c.width == 11
         assert metrics(c).toffoli_count == 5
