@@ -1,11 +1,12 @@
 """Reversible / Clifford+T circuit representation and exact metrics.
 
-Circuits are built over a flat wire table.  Gates are stored internally
-as compact tuples ``(kind, wire, ...)`` so that million-gate circuits fit
-comfortably in memory; the ``Gate`` dataclass is a convenience view.
+Circuits are built over a flat wire table.  Gates are stored as compact
+tuples ``(kind, wire, ...)`` so that million-gate circuits fit
+comfortably in memory.
 
-Labeled, properly nested gate-index spans ("groups") mark logical
-subcircuits; writers may render top-level groups as named blocks.
+Labeled gate-index spans ("groups") mark logical subcircuits.  They form
+one flat list in gate order and never nest, like the blocks of a ``.qc``
+file; writers render each group as a named block.
 
 Metrics are computed by earliest-start scheduling: a gate starts one time
 unit after the latest finish time on any of its wires.  ``t_depth`` uses
@@ -18,13 +19,14 @@ composition bounds for Toffoli-level constructions are accounted.
 ``metrics`` takes every figure in one pass over the gate list, branching
 on the gate kind.  Alongside the four global per-wire levels it keeps a
 fifth, relative level, reset to zero on every wire at the start of each
-top-level group; the largest relative level when the group ends is the
-group's own depth, the depth it would have as a circuit by itself.
+group; the largest relative level when the group ends is the group's
+own depth, the depth it would have as a circuit by itself.
 Per-kind counts of the circuit and of each group come from the same loop.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -32,9 +34,6 @@ NOT, CNOT, TOFFOLI, H, T, T_DAGGER, S, S_DAGGER = range(8)
 
 KIND_NAMES = ("not", "cnot", "toffoli", "h", "t", "t_dagger", "s", "s_dagger")
 ARITY = (1, 2, 3, 1, 1, 1, 1, 1)
-CLASSICAL_KINDS = frozenset((NOT, CNOT, TOFFOLI))
-_INVERSE = {T: T_DAGGER, T_DAGGER: T, S: S_DAGGER, S_DAGGER: S}
-_T_LIKE = frozenset((T, T_DAGGER))
 
 # Clifford+T realization of TOFFOLI(c1, c2, t): 15 gates, 7 of them
 # T/T-dagger, scheduled depth 8 and T-depth 4.  Entries are
@@ -66,17 +65,7 @@ TOFFOLI_DECOMP_T_DEPTH = 4
 
 
 class CircuitError(ValueError):
-    """Malformed circuit operation (bad wires, arity, or group nesting)."""
-
-
-@dataclass(frozen=True)
-class Gate:
-    kind: int
-    wires: tuple[int, ...]
-
-    @property
-    def name(self) -> str:
-        return KIND_NAMES[self.kind]
+    """Malformed circuit operation (bad wires, arity, or a nested group)."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +73,6 @@ class Group:
     label: str
     start: int  # gate index, inclusive
     end: int    # gate index, exclusive
-    depth_level: int  # nesting depth; 0 = top level
 
 
 class Circuit:
@@ -92,28 +80,22 @@ class Circuit:
 
     def __init__(self):
         self.wires: list[str] = []
-        self._wire_ids: dict[str, int] = {}
+        self._wire_names: set[str] = set()
         self._gates: list[tuple] = []
         self.groups: list[Group] = []
-        self._group_stack: list[tuple[str, int, int]] = []
+        self._in_group = False
         self.out_permutation: list[int] = []
 
     # -- wires ----------------------------------------------------------
 
     def add_wire(self, name: str) -> int:
-        if name in self._wire_ids:
+        if name in self._wire_names:
             raise CircuitError(f"duplicate wire name {name!r}")
         wid = len(self.wires)
         self.wires.append(name)
-        self._wire_ids[name] = wid
+        self._wire_names.add(name)
         self.out_permutation.append(wid)
         return wid
-
-    def wire_id(self, name: str) -> int:
-        try:
-            return self._wire_ids[name]
-        except KeyError:
-            raise CircuitError(f"unknown wire {name!r}") from None
 
     @property
     def width(self) -> int:
@@ -144,108 +126,24 @@ class Circuit:
     def num_gates(self) -> int:
         return len(self._gates)
 
-    def gate(self, index: int) -> Gate:
-        g = self._gates[index]
-        return Gate(g[0], g[1:])
-
     def gate_tuples(self) -> list[tuple]:
         return self._gates
 
-    def __iter__(self):
-        for g in self._gates:
-            yield Gate(g[0], g[1:])
-
     # -- groups ----------------------------------------------------------
 
-    def begin_group(self, label: str):
-        self._group_stack.append((label, len(self._gates), len(self._group_stack)))
-
-    def end_group(self):
-        if not self._group_stack:
-            raise CircuitError("end_group without matching begin_group")
-        label, start, level = self._group_stack.pop()
-        self.groups.append(Group(label, start, len(self._gates), level))
-
+    @contextmanager
     def group(self, label: str):
-        return _GroupContext(self, label)
-
-    def top_level_groups(self) -> list[Group]:
-        out = [g for g in self.groups if g.depth_level == 0]
-        out.sort(key=lambda g: g.start)
-        return out
-
-    def check_closed(self):
-        if self._group_stack:
-            raise CircuitError("unclosed group(s): "
-                               + ", ".join(l for l, _, _ in self._group_stack))
-
-
-class _GroupContext:
-    def __init__(self, circuit: Circuit, label: str):
-        self.circuit = circuit
-        self.label = label
-
-    def __enter__(self):
-        self.circuit.begin_group(self.label)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.circuit.end_group()
-        return False
-
-
-# ----------------------------------------------------------------------
-# Structural operations
-# ----------------------------------------------------------------------
-
-def inverse(circuit: Circuit) -> Circuit:
-    """The inverse circuit: gates reversed, T/S conjugated, groups kept
-    (relabeled with an ``I`` prefix) and the output permutation inverted."""
-    circuit.check_closed()
-    inv = Circuit()
-    for name in circuit.wires:
-        inv.add_wire(name)
-    n = len(circuit._gates)
-    gates = []
-    for g in reversed(circuit._gates):
-        k = g[0]
-        k2 = _INVERSE.get(k, k)
-        gates.append((k2,) + g[1:] if k2 != k else g)
-    inv._gates = gates
-    inv.groups = [
-        Group("I" + g.label, n - g.end, n - g.start, g.depth_level)
-        for g in reversed(circuit.groups)
-    ]
-    perm = circuit.out_permutation
-    ip = [0] * len(perm)
-    for logical, physical in enumerate(perm):
-        ip[physical] = logical
-    inv.out_permutation = ip
-    return inv
-
-
-def compose(first: Circuit, second: Circuit) -> Circuit:
-    """Concatenate two circuits over identical wire tables."""
-    first.check_closed()
-    second.check_closed()
-    if first.wires != second.wires:
-        raise CircuitError("wire tables differ; circuits cannot be composed")
-    if first.out_permutation != list(range(first.width)):
-        raise CircuitError(
-            "cannot compose after a relabeling output permutation"
-        )
-    out = Circuit()
-    for name in first.wires:
-        out.add_wire(name)
-    out._gates = first._gates + second._gates
-    shift = len(first._gates)
-    out.groups = list(first.groups) + [
-        Group(g.label, g.start + shift, g.end + shift, g.depth_level)
-        for g in second.groups
-    ]
-    out.out_permutation = list(second.out_permutation)
-    return out
+        """Label the gates appended inside the ``with`` block.  The group
+        is recorded when the block exits normally; groups do not nest."""
+        if self._in_group:
+            raise CircuitError(f"group {label!r} opened inside another group")
+        self._in_group = True
+        start = len(self._gates)
+        try:
+            yield
+        finally:
+            self._in_group = False
+        self.groups.append(Group(label, start, len(self._gates)))
 
 
 def decompose_toffoli(circuit: Circuit) -> Circuit:
@@ -255,7 +153,6 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
     logical gates.  ``qcformat.write_qc(circuit, clifford_t=True)``
     writes the text of this circuit without building it.
     """
-    circuit.check_closed()
     out = Circuit()
     for name in circuit.wires:
         out.add_wire(name)
@@ -275,7 +172,7 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
     index_map[len(circuit._gates)] = len(gates)
     out._gates = gates
     out.groups = [
-        Group(g.label, index_map[g.start], index_map[g.end], g.depth_level)
+        Group(g.label, index_map[g.start], index_map[g.end])
         for g in circuit.groups
     ]
     out.out_permutation = list(circuit.out_permutation)
@@ -393,17 +290,16 @@ def _sweep(gates, count, levels, total):
 def metrics(circuit: Circuit) -> ResourceReport:
     """Exact resource report for a circuit, in one pass over its gates.
 
-    The gates are taken in spans: each top-level group, and the gaps
-    between them.  Every span advances the global schedule and yields
+    The gates are taken in spans: each group, and the gaps between
+    them.  Every span advances the global schedule and yields
     its own counts and depth; only the groups' figures are reported.
     """
-    circuit.check_closed()
     levels = tuple([0] * circuit.width for _ in range(4))
     gates = iter(circuit._gates)
     counts = [0] * len(KIND_NAMES)
     subs = []
     pos = 0
-    for grp in circuit.top_level_groups():
+    for grp in circuit.groups:
         _sweep(gates, grp.start - pos, levels, counts)
         gcounts, gdepth = _sweep(gates, grp.end - grp.start, levels, counts)
         pos = grp.end

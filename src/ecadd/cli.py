@@ -10,7 +10,8 @@ Subcommands:
   classical curve oracle, exhaustively or on seeded samples.
 
 Exit codes: 0 ok, 1 validation error, 2 verification failure, 3 internal
-invariant violation.  ``ECADD_SEED`` provides the default seed.
+invariant violation (a usage error is a validation error).  ``ECADD_SEED``
+provides the default seed of ``verify``.
 """
 
 from __future__ import annotations
@@ -62,10 +63,14 @@ class JobSpec:
 
 
 def _default_seed() -> int:
-    try:
-        return int(os.environ.get("ECADD_SEED", "0"))
-    except ValueError:
+    """The seed of ``verify`` when ``--seed`` is not given."""
+    text = os.environ.get("ECADD_SEED")
+    if text is None:
         return 0
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"bad ECADD_SEED: {text!r}") from None
 
 
 def _parse_field(poly_text: str) -> IrreduciblePoly:
@@ -202,6 +207,7 @@ def cmd_tables(args) -> int:
 def cmd_verify(args) -> int:
     if not args.exhaustive and args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
+    seed = _default_seed() if args.seed is None else args.seed
     job = _job_from_args(args)
     if args.exhaustive and job.field.n > EXHAUSTIVE_MAX_N:
         raise ValidationError(
@@ -212,7 +218,7 @@ def cmd_verify(args) -> int:
             circuit, job.curve, job.p2,
             exhaustive=args.exhaustive,
             samples=args.samples,
-            seed=args.seed,
+            seed=seed,
         )
     except SynthesisError as exc:
         raise ValidationError(str(exc)) from exc
@@ -232,8 +238,17 @@ def _add_job_args(p: argparse.ArgumentParser):
     p.add_argument("--y2", required=True, help="fixed point y-coordinate")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_VALIDATION;
+    argparse's own code, 2, is EXIT_VERIFY_FAIL here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ecadd",
         description="Reversible point-addition circuits for binary elliptic curves",
     )
@@ -262,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep all valid generic-case inputs")
     group.add_argument("--samples", type=int, default=1000,
                        help="number of seeded random inputs (default 1000)")
-    pv.add_argument("--seed", type=int, default=_default_seed(),
+    pv.add_argument("--seed", type=int,
                     help="RNG seed (default: ECADD_SEED or 0)")
     pv.set_defaults(func=cmd_verify)
     return ap

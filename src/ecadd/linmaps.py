@@ -126,9 +126,7 @@ def _matrix_from_columns(n: int, cols) -> BinMatrix:
 
 
 def matrix_of_const_mul(c: FieldElem) -> BinMatrix:
-    """Matrix of multiplication by a nonzero constant c in F2^n."""
-    if c.value == 0:
-        raise SingularMatrixError("multiplication by zero is singular")
+    """Matrix of multiplication by a constant c in F2^n (all zero for c = 0)."""
     reduce = c.field.reduce
     n = c.field.n
     cols = []

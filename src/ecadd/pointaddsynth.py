@@ -104,11 +104,9 @@ def multiplier_report(field: IrreduciblePoly) -> ResourceReport:
 
 
 def _linear_block(circuit, label, matrix, src, dst, layers):
-    """Emit one labeled linear block; a None matrix means the constant was
-    zero and the block is the identity (kept as an empty group)."""
+    """Emit one labeled linear block (an empty group for a zero matrix)."""
     with circuit.group(label):
-        if matrix is not None:
-            synth_linear(circuit, matrix, src, dst, layers)
+        synth_linear(circuit, matrix, src, dst, layers)
 
 
 def synth_point_add(curve: Curve, p2: AffinePoint, *,
@@ -134,19 +132,18 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
 
     m_sq = matrix_of_squaring(fld)
     m_sqrt = matrix_of_sqrt(fld)
-    m_x2 = matrix_of_const_mul(x2) if x2.value else None
-    m_sm = matrix_of_const_mul(y2) @ m_sq if y2.value else None
-    xy = x2 + y2
-    m_xyz = matrix_of_const_mul(xy) @ m_sq if xy.value else None
-    m_a2 = matrix_of_const_mul(a2) if a2.value else None
+    m_x2 = matrix_of_const_mul(x2)
+    m_sm = matrix_of_const_mul(y2) @ m_sq
+    m_xyz = matrix_of_const_mul(x2 + y2) @ m_sq
+    m_a2 = matrix_of_const_mul(a2)
 
     # Edge colorings, computed once per distinct matrix.
     lay_sq = linear_layers(m_sq)
     lay_sqrt = linear_layers(m_sqrt)
-    lay_x2 = linear_layers(m_x2) if m_x2 is not None else None
-    lay_sm = linear_layers(m_sm) if m_sm is not None else None
-    lay_xyz = linear_layers(m_xyz) if m_xyz is not None else None
-    lay_a2 = linear_layers(m_a2) if m_a2 is not None else None
+    lay_x2 = linear_layers(m_x2)
+    lay_sm = linear_layers(m_sm)
+    lay_xyz = linear_layers(m_xyz)
+    lay_a2 = linear_layers(m_a2)
 
     c = Circuit()
     regs = {name: add_register(c, name, n) for name in REGISTER_ORDER}
@@ -205,7 +202,6 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     # 16: reverse step 1
     _linear_block(c, "ISM", m_sm, rz1, ry1, lay_sm)
 
-    c.check_closed()
     report = metrics(c)
     g_s = m_sq.weight
     d_s = m_sq.max_degree

@@ -19,8 +19,7 @@ Gate lines: ``tof t`` (NOT), ``tof c t`` (CNOT), ``tof c1 c2 t``
 name inside the main block invokes a previously defined subcircuit.
 Lines use LF endings; ``#`` starts a comment.
 
-The writer renders each top-level group of a circuit as a named
-subcircuit.  Group labels repeat (e.g. several squaring blocks), so
+The writer renders each group of a circuit as a named subcircuit.  Group labels repeat (e.g. several squaring blocks), so
 definition names are made unique with ``_2``, ``_3``, ... suffixes while
 preserving the first occurrence verbatim.
 """
@@ -108,13 +107,12 @@ def _render(gates, count: int, names, toffoli) -> str:
 def write_qc(circuit: Circuit, clifford_t: bool = False) -> str:
     """Render a circuit as .qc text (deterministic).
 
-    The text is built a block at a time: one string per top-level group
-    and per run of gates between groups, joined once at the end.  With
+    The text is built a block at a time: one string per group and per
+    run of gates between groups, joined once at the end.  With
     ``clifford_t`` each Toffoli is written as its 15-gate Clifford+T
     template (``circuit_ir.TOFFOLI_TEMPLATE``) as it is rendered, giving
     the same text as writing ``decompose_toffoli(circuit)``.
     """
-    circuit.check_closed()
     names = circuit.wires
     toffoli = (_TOFFOLI_CLIFFORD_T if clifford_t else _TOFFOLI_LINE).format
     gates = iter(circuit.gate_tuples())
@@ -127,7 +125,7 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> str:
     main = ["BEGIN"]
     used: dict[str, int] = {}
     pos = 0
-    for grp in circuit.top_level_groups():
+    for grp in circuit.groups:
         base = _sanitize(grp.label)
         used[base] = used.get(base, 0) + 1
         name = base if used[base] == 1 else f"{base}_{used[base]}"

@@ -40,7 +40,8 @@ class Simulator:
     """Reusable simulator for a fixed classical circuit."""
 
     def __init__(self, circuit: Circuit):
-        self._gates = tuple(circuit.gate_tuples())
+        # The circuit's own list, not a copy: the circuit must stay fixed.
+        self._gates = circuit.gate_tuples()
         for g in self._gates:
             if g[0] not in (NOT, CNOT, TOFFOLI):
                 raise UnsupportedGate(

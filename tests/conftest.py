@@ -211,40 +211,40 @@ def random_classical_circuit(rng: random.Random, max_wires: int = 8,
     width = rng.randint(1, max_wires)
     for i in range(width):
         c.add_wire(f"w{i}")
-    open_group = False
-    for _ in range(rng.randint(0, max_gates)):
-        if not open_group and width >= 1 and rng.random() < 0.15:
-            c.begin_group(rng.choice(("blk", "S", "M", "xyZ")))
-            open_group = True
-        choices = [NOT]
-        if width >= 2:
-            choices.append(CNOT)
-        if width >= 3:
-            choices.append(TOFFOLI)
+    choices = [NOT, CNOT, TOFFOLI][:width]
+
+    def append_random_gate():
         kind = rng.choice(choices)
-        wires = rng.sample(range(width), (1, 2, 3)[kind])
-        c.append(kind, *wires)
-        if open_group and rng.random() < 0.3:
-            c.end_group()
-            open_group = False
-    if open_group:
-        c.end_group()
+        c.append(kind, *rng.sample(range(width), (1, 2, 3)[kind]))
+
+    budget = rng.randint(0, max_gates)
+    while budget > 0:
+        if rng.random() < 0.15:
+            # A group holds one or more gates; 0.3 ends it after each.
+            with c.group(rng.choice(("blk", "S", "M", "xyZ"))):
+                while budget > 0:
+                    append_random_gate()
+                    budget -= 1
+                    if rng.random() < 0.3:
+                        break
+        else:
+            append_random_gate()
+            budget -= 1
     return c
 
 
 def ref_simulate(circuit: Circuit, state: int) -> int:
-    """Independent gate-by-gate simulation using the Gate view."""
+    """Independent gate-by-gate simulation over the gate tuples."""
     bits = [state >> i & 1 for i in range(circuit.width)]
-    for g in circuit:
-        ws = g.wires
-        if g.name == "not":
+    for kind, *ws in circuit.gate_tuples():
+        if kind == NOT:
             bits[ws[0]] ^= 1
-        elif g.name == "cnot":
+        elif kind == CNOT:
             bits[ws[1]] ^= bits[ws[0]]
-        elif g.name == "toffoli":
+        elif kind == TOFFOLI:
             bits[ws[2]] ^= bits[ws[0]] & bits[ws[1]]
         else:
-            raise AssertionError(f"non-classical gate {g.name}")
+            raise AssertionError(f"non-classical gate {KIND_NAMES[kind]}")
     out = [bits[p] for p in circuit.out_permutation]
     return sum(b << i for i, b in enumerate(out))
 
@@ -298,11 +298,11 @@ def ref_schedule(gates, width):
 
 def ref_metrics(circuit: Circuit):
     """((depth, t_depth, block_depth, block_t_depth), subcircuits) with one
-    (label, counts, depth) per top-level group, each group scheduled
+    (label, counts, depth) per group, each group scheduled
     again on its own slice of the gate list."""
     gates = circuit.gate_tuples()
     subs = []
-    for grp in circuit.top_level_groups():
+    for grp in circuit.groups:
         span = gates[grp.start:grp.end]
         counts = {name: 0 for name in KIND_NAMES}
         for g in span:
@@ -327,8 +327,7 @@ def _ref_gate_line(kind: int, names) -> str:
 
 def ref_write_qc(circuit: Circuit) -> str:
     """The .qc text of a circuit, built gate by gate into one list of
-    lines; top-level groups become named subcircuits."""
-    circuit.check_closed()
+    lines; groups become named subcircuits."""
     names = circuit.wires
     perm = circuit.out_permutation
     out_names = [names[p] for p in perm]
@@ -343,7 +342,7 @@ def ref_write_qc(circuit: Circuit) -> str:
     gates = circuit.gate_tuples()
     spans = []  # (start, end, unique_name)
     used: dict[str, int] = {}
-    for grp in circuit.top_level_groups():
+    for grp in circuit.groups:
         base = re.sub(r"[^A-Za-z0-9_]", "_", grp.label)
         if not base or not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", base):
             base = "G_" + base

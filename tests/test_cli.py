@@ -176,12 +176,40 @@ class TestVerify:
         assert capsys.readouterr().out == first
 
     def test_env_seed_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("ECADD_SEED", "99")
-        parser = cli.build_parser()
-        # Re-resolve the default against the environment.
-        assert cli._default_seed() == 99
-        monkeypatch.setenv("ECADD_SEED", "junk")
+        monkeypatch.delenv("ECADD_SEED", raising=False)
         assert cli._default_seed() == 0
+        monkeypatch.setenv("ECADD_SEED", "99")
+        assert cli._default_seed() == 99
+        assert main(self.BASE + ["--samples", "50"]) == EXIT_OK
+        from_env = capsys.readouterr().out
+        assert main(self.BASE + ["--samples", "50", "--seed", "99"]) == EXIT_OK
+        assert capsys.readouterr().out == from_env
+
+    def test_bad_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ECADD_SEED", "junk")
+        assert main(self.BASE + ["--samples", "50"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err == "error: bad ECADD_SEED: 'junk'\n"
+        # An explicit --seed wins, and synth and tables never read it.
+        assert main(self.BASE + ["--samples", "50", "--seed", "1"]) == EXIT_OK
+        assert main(["tables", "squaring", "--nist"]) == EXIT_OK
+        assert main(synth_args(tmp_path / "c.qc")) == EXIT_OK
+
+    def test_usage_error_is_a_validation_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.BASE + ["--samples", "abc"])
+        assert exc.value.code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ecadd verify")
+        assert "invalid int value: 'abc'" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--poly", "1+x+x^3"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "the following arguments are required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == EXIT_OK
 
     def test_b163_sampled_passes(self, capsys):
         # A DSS field: sampled verification has no field-size cap.
@@ -201,8 +229,7 @@ class TestVerify:
         circ, report = b163_circuit
         gates = list(circ.gate_tuples())
         if mutant == "retarget":
-            i = next(g.start for g in circ.top_level_groups()
-                     if g.label == "X")
+            i = next(g.start for g in circ.groups if g.label == "X")
             kind, c, t = gates[i]
             assert kind == CNOT
             gates[i] = (CNOT, c, t + 1)
@@ -251,12 +278,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert captured.err == "error: P2 is not on the curve\n"
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(off + ["--allow-off-curve"])
+        assert exc.value.code == EXIT_VALIDATION
 
     def test_decompose_is_a_synth_flag(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(self.BASE + ["--exhaustive", "--decompose"])
+        assert exc.value.code == EXIT_VALIDATION
 
     def test_corrupted_circuit_fails_with_counterexample(
             self, capsys, monkeypatch):

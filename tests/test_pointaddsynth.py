@@ -88,7 +88,7 @@ class TestToyStructure:
     def test_block_labels_in_order(self):
         curve, p2 = toy_job()
         circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
-        labels = [g.label for g in circ.top_level_groups()]
+        labels = [g.label for g in circ.groups]
         # Multiplier blocks and the linear blocks around them.
         assert labels == ["SM", "X", "M", "S", "S", "S", "a2", "X", "M",
                           "M", "xyZ", "M", "IM", "IX", "Ia2", "IS", "SR",
@@ -126,7 +126,7 @@ class TestA2Block:
                    if ref_field_mul(a2, 1 << i, fld.bits) >> j & 1]
         gates = circ.gate_tuples()
         blocks = {g.label: gates[g.start:g.end]
-                  for g in circ.top_level_groups()
+                  for g in circ.groups
                   if g.label in ("a2", "Ia2")}
         assert set(blocks) == {"a2", "Ia2"}
         for label, got in blocks.items():

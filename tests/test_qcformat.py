@@ -16,7 +16,6 @@ from ecadd.circuit_ir import (
     TOFFOLI,
     Circuit,
     decompose_toffoli,
-    inverse,
     metrics,
 )
 from ecadd.qcformat import (
@@ -43,31 +42,27 @@ def small_circuit():
 
 @st.composite
 def writer_circuits(draw):
-    """A random circuit over all eight gate kinds, with nested groups,
-    empty groups (a trailing one included), gates outside any group and
-    repeated labels, optionally inverted and with a permuted output."""
+    """A random circuit over all eight gate kinds, with empty groups (a
+    trailing one included), gates outside any group and repeated labels,
+    optionally with a permuted output."""
     width = draw(st.integers(1, 5))
     c = Circuit()
     for i in range(width):
         c.add_wire(f"w{i}")
     kinds = [k for k in range(len(KIND_NAMES)) if ARITY[k] <= width]
-    open_groups = 0
-    for _ in range(draw(st.integers(0, 40))):
-        op = draw(st.sampled_from(("gate", "gate", "begin", "end")))
-        if op == "begin":
-            c.begin_group(draw(st.sampled_from(("S", "M", "IM", "a-2"))))
-            open_groups += 1
-        elif op == "end" and open_groups:
-            c.end_group()
-            open_groups -= 1
-        elif op == "gate":
-            kind = draw(st.sampled_from(kinds))
-            wires = draw(st.permutations(range(width)))[:ARITY[kind]]
-            c.append(kind, *wires)
-    for _ in range(open_groups):
-        c.end_group()
-    if draw(st.booleans()):
-        c = inverse(c)
+
+    def gate():
+        kind = draw(st.sampled_from(kinds))
+        wires = draw(st.permutations(range(width)))[:ARITY[kind]]
+        c.append(kind, *wires)
+
+    for _ in range(draw(st.integers(0, 20))):
+        if draw(st.booleans()):
+            gate()
+        else:
+            with c.group(draw(st.sampled_from(("S", "M", "IM", "a-2")))):
+                for _ in range(draw(st.integers(0, 4))):
+                    gate()
     if draw(st.booleans()):
         with c.group("S"):
             pass
@@ -215,7 +210,7 @@ class TestParser:
                 "BEGIN SM\ntof a b\nEND SM\n"
                 "BEGIN\nSM\ntof b a\nEND\n")
         c = parse_qc(text)
-        assert [g.label for g in c.top_level_groups()] == ["SM"]
+        assert [g.label for g in c.groups] == ["SM"]
         assert c.num_gates == 2
 
     def test_output_permutation(self):
@@ -246,7 +241,7 @@ class TestGolden:
     def test_golden_file_parses_and_has_block_labels(self):
         text = (GOLDEN / "toy_point_add.qc").read_text()
         c = parse_qc(text)
-        names = [g.label for g in c.top_level_groups()]
+        names = [g.label for g in c.groups]
         for label in ("SM", "X", "M", "S", "a2", "xyZ", "IM", "IX",
                       "Ia2", "IS", "SR", "ISM"):
             assert any(nm == label or nm.startswith(label + "_")
