@@ -12,9 +12,10 @@ Two independent addition routes are provided:
 
 * ``affine_add``: the complete branching affine group law (handles O,
   inverses, and doubling);
-* ``aldaoud_madd``: the branch-free mixed-coordinate formula for the
-  generic case P1 != O and P1 != +-P2 with P2 affine, which is exactly
-  what the synthesized circuit computes.
+* ``aldaoud_madd``: the branch-free mixed-coordinate formula, which is
+  exactly what the synthesized circuit computes.  It is evaluated on any
+  input, and gives P1 + P2 in the generic case P1 != O and P1 != +-P2
+  with P2 affine.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ EXHAUSTIVE_MAX_N = 8
 
 class PointError(ValueError):
     """Invalid point or curve parameter."""
-
-
-class GenericBranchError(ValueError):
-    """Mixed addition invoked outside its generic-case precondition."""
 
 
 @dataclass(frozen=True)
@@ -162,8 +159,7 @@ def ld_to_affine(p: LDPoint) -> AffinePoint:
     return AffinePoint(p.X * zi, p.Y * zi.square())
 
 
-def aldaoud_madd(curve: Curve, p1: LDPoint, p2: AffinePoint,
-                 checked: bool = True) -> LDPoint:
+def aldaoud_madd(curve: Curve, p1: LDPoint, p2: AffinePoint) -> LDPoint:
     """Mixed-coordinate addition P3 = P1 + P2 (P1 in LD, P2 affine).
 
     Branch-free generic-case formula:
@@ -173,15 +169,9 @@ def aldaoud_madd(curve: Curve, p1: LDPoint, p2: AffinePoint,
         X3 = A^2 + C (A + B^2 + a2 C)
         Y3 = (D + X3)(A C + Z3) + (y2 + x2) Z3^2
 
-    With ``checked`` the generic-case precondition (P1, P2 != O and
-    P1 != +-P2) is validated first.
+    Outside the generic case (P1, P2 != O and P1 != +-P2) the result is
+    not P1 + P2; the inputs are the caller's to choose.
     """
-    if checked:
-        if p1.is_infinity or p2.is_infinity:
-            raise GenericBranchError("mixed addition requires finite inputs")
-        p1a = ld_to_affine(p1)
-        if affine_equal(p1a, p2) or affine_equal(p1a, negate(p2)):
-            raise GenericBranchError("mixed addition requires P1 != +-P2")
     X1, Y1, Z1 = p1.X, p1.Y, p1.Z
     x2, y2 = p2.x, p2.y
     a2 = curve.a2

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import xor
+from functools import cached_property
 from typing import Optional
 
 
@@ -45,10 +44,6 @@ class ModulusMismatch(ValueError):
 
 class NotInvertible(ZeroDivisionError):
     """Inverse of zero (or of a non-unit) requested."""
-
-
-class UnsupportedField(ValueError):
-    """Operation not available for this field configuration."""
 
 
 # ----------------------------------------------------------------------
@@ -72,20 +67,16 @@ def poly_mul(a: int, b: int) -> int:
     return r
 
 
-def poly_mod(a: int, m: int) -> int:
-    if m == 0:
-        raise ZeroDivisionError("reduction modulo the zero polynomial")
-    dm = poly_degree(m)
-    while True:
-        da = poly_degree(a)
-        if da < dm:
-            return a
-        a ^= m << (da - dm)
-
-
 def poly_gcd(a: int, b: int) -> int:
+    """gcd(a, b) in F2[x]: cancels the leading term of the longer operand
+    with a shifted copy of the other until one of them is zero."""
+    da, db = a.bit_length(), b.bit_length()
     while b:
-        a, b = b, poly_mod(a, b)
+        j = da - db
+        if j < 0:
+            a, b, da, db, j = b, a, db, da, -j
+        a ^= b << j
+        da = a.bit_length()
     return a
 
 
@@ -249,8 +240,9 @@ class IrreduciblePoly(Kernel):
     The constant term must be 1 (true of every irreducible polynomial of
     degree >= 1 other than x itself, which generates no field extension
     worth the name here).  Immutable; equality and hashing depend on
-    ``bits`` only.  The arithmetic is the kernel's, and the two linear
-    solvers of ``solve_quadratic`` are computed on first use and kept.
+    ``bits`` only.  The arithmetic is the kernel's; the Gauss-Jordan rows
+    of z -> z^2 + z, which ``solve_quadratic`` and ``FieldElem.trace``
+    read, are computed on first use and kept.
     """
 
     def __init__(self, bits: int):
@@ -300,35 +292,8 @@ class IrreduciblePoly(Kernel):
     def one(self) -> "FieldElem":
         return FieldElem(1, self)
 
-    def x(self) -> "FieldElem":
-        return self.elem(2)
-
     def __str__(self) -> str:
         return poly_to_text(self.bits)
-
-    @cached_property
-    def _half_trace_columns(self) -> tuple[int, ...]:
-        """H(x^i) for i < n (odd n), all n columns computed at once.
-
-        Bit i of lane r is coefficient r of the running power of x^i, so
-        one squaring of all n elements is one XOR per nonzero entry of
-        the squaring matrix (row r lists the i whose x^(2i) mod p has
-        bit r).
-        """
-        n = self.n
-        rows: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for r in support_of(self.square(1 << i)):
-                rows[r].append(i)
-        power = [1 << r for r in range(n)]
-        acc = list(power)
-        for _ in range((n - 1) // 2):
-            for _ in range(2):
-                power = [reduce(xor, [power[i] for i in row], 0)
-                         for row in rows]
-            acc = [a ^ p for a, p in zip(acc, power)]
-        return tuple(sum((acc[r] >> i & 1) << r for r in range(n))
-                     for i in range(n))
 
     @cached_property
     def _quadratic_solver(self) -> tuple[tuple[int, int, int], ...]:
@@ -354,6 +319,24 @@ class IrreduciblePoly(Kernel):
                     row[2] ^= pre
             rows.append([pivot, image, pre])
         return tuple(map(tuple, rows))
+
+    @cached_property
+    def _trace_mask(self) -> int:
+        """The bits whose parity is the trace: Tr a = parity(a & mask).
+
+        The rows' images span the image of z -> z^2 + z, the kernel of
+        the trace.  Each image is its pivot bit plus at most the one bit
+        f that is no row's pivot, so reducing a by the rows leaves only
+        bit f: a's bit f plus a's bits at the pivots of the rows that
+        hold f.  It is 0 exactly when a lies in the image."""
+        rows = self._quadratic_solver
+        pivots = sum(1 << pivot for pivot, _, _ in rows)
+        f = (self.mask ^ pivots).bit_length() - 1
+        mask = 1 << f
+        for pivot, image, _ in rows:
+            if image >> f & 1:
+                mask |= 1 << pivot
+        return mask
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -415,28 +398,7 @@ class FieldElem:
 
     def trace(self) -> int:
         """Absolute trace, as an int in {0, 1}."""
-        square = self.field.square
-        t = s = self.value
-        for _ in range(self.field.n - 1):
-            t = square(t)
-            s ^= t
-        if s not in (0, 1):
-            raise AssertionError("trace left the prime field")
-        return s
-
-    def half_trace(self) -> "FieldElem":
-        """Half-trace, defined for odd n; solves z^2 + z = a when trace(a) = 0.
-
-        H(a) = a + a^4 + a^16 + ... + a^(4^((n-1)/2)) is GF(2)-linear, so
-        it is the XOR of the cached columns H(x^i) over the bits of a."""
-        n = self.field.n
-        if n % 2 == 0:
-            raise UnsupportedField("half-trace requires odd extension degree")
-        cols = self.field._half_trace_columns
-        h = 0
-        for i in support_of(self.value):
-            h ^= cols[i]
-        return _wrap(h, self.field)
+        return (self.value & self.field._trace_mask).bit_count() & 1
 
     def __str__(self) -> str:
         return poly_to_text(self.value)
@@ -457,25 +419,22 @@ def _wrap(value: int, field: IrreduciblePoly) -> FieldElem:
 
 
 def solve_quadratic(c: FieldElem) -> Optional[FieldElem]:
-    """A solution z of z^2 + z = c, or None when none exists.
+    """A solution z of z^2 + z = c, or None when none exists (trace 1).
 
-    Odd n uses the half-trace.  Even n solves the linear system of
-    z -> z^2 + z by a Gauss-Jordan elimination kept on the field and
-    returns the root with bit 0 clear (the other root is z + 1).
-    """
+    Every n solves the linear system of z -> z^2 + z by the Gauss-Jordan
+    rows kept on the field, which give the root with bit 0 clear (the
+    other root is z + 1).  For odd n, Tr 1 = 1, so the two roots differ
+    in trace; the one of trace 0 is returned, which is the half-trace
+    of c."""
     field = c.field
-    if c.value == 0:
-        return field.zero()
-    n = field.n
-    if n % 2 == 1:
-        z = c.half_trace()
-        if (z.square() + z).value == c.value:
-            return z
-        return None
     rest = c.value
     z = 0
     for pivot, image, pre in field._quadratic_solver:
         if rest >> pivot & 1:
             rest ^= image
             z ^= pre
-    return _wrap(z, field) if rest == 0 else None
+    if rest:
+        return None
+    if field.n & 1 and (z & field._trace_mask).bit_count() & 1:
+        z ^= 1
+    return _wrap(z, field)

@@ -36,7 +36,6 @@ from .ecoracle import (
     EXHAUSTIVE_MAX_N,
     AffinePoint,
     Curve,
-    LDPoint,
     affine_add,
     affine_equal,
     affine_to_ld,
@@ -256,38 +255,19 @@ class VerifyResult:
     failure: str = dc_field(default=None)
 
 
-def _check_case(layout: PointAddLayout, curve: Curve, p2: AffinePoint,
-                p1: LDPoint, out: int) -> str | None:
-    """The first check that the circuit's output state ``out`` for input
-    P1 fails, as a failure description, or None."""
-    expect = aldaoud_madd(curve, p1, p2, checked=False)
-    tag = f"P1=({p1.X.value:#x},{p1.Y.value:#x},{p1.Z.value:#x})"
-    for name, want in (("X1", p1.X.value), ("Y1", p1.Y.value),
-                       ("Z1", p1.Z.value)):
-        if layout.extract(out, name) != want:
-            return f"{tag}: input register {name} not restored"
-    for name in ("C", "Bsq", "D", "Cp", "Z3p"):
-        if layout.extract(out, name) != 0:
-            return f"{tag}: ancilla register {name} not cleared"
-    if [layout.extract(out, r) for r in ("X3", "Y3", "Z3")] != \
-       [expect.X.value, expect.Y.value, expect.Z.value]:
-        return f"{tag}: output differs from the mixed-addition formula"
-    if not _agrees_with_group_law(curve, p1, p2, expect):
-        return f"{tag}: output disagrees with the affine group law"
-    return None
-
-
-def _agrees_with_group_law(curve: Curve, p1: LDPoint, p2: AffinePoint,
-                           p3: LDPoint) -> bool:
-    """P3 = P1 + P2 under the complete affine law, or P3 = O."""
-    return p3.is_infinity or affine_equal(
-        ld_to_affine(p3), affine_add(curve, ld_to_affine(p1), p2))
+# The register checks of a case, in the order they are reported: the
+# first register that differs in a failing lane names the failure.
+_REGISTER_CHECKS = (
+    (("X1", "Y1", "Z1"), "input register {} not restored"),
+    (("C", "Bsq", "D", "Cp", "Z3p"), "ancilla register {} not cleared"),
+    (("X3", "Y3", "Z3"), "output differs from the mixed-addition formula"),
+)
 
 
 def _check_chunk(sim: Simulator, layout: PointAddLayout, curve: Curve,
                  p2: AffinePoint, chunk: list) -> tuple[int, str] | None:
-    """(index, failure) of the first case in ``chunk`` that _check_case
-    fails, found with one lane pass; None when every case passes.
+    """(index, failure) of the first failing case in ``chunk``, found
+    with one lane pass; None when every case passes.
 
     A lane fails a register check iff it differs from the state that
     holds its inputs, clear ancillas and the oracle's X3, Y3, Z3; where
@@ -298,21 +278,31 @@ def _check_chunk(sim: Simulator, layout: PointAddLayout, curve: Curve,
     bad = 0
     for k, p1 in enumerate(chunk):
         state = layout.pack_inputs(p1.X.value, p1.Y.value, p1.Z.value)
-        expect = aldaoud_madd(curve, p1, p2, checked=False)
+        expect = aldaoud_madd(curve, p1, p2)
         inputs.append(state)
         wants.append(state | expect.Z.value << oz | expect.X.value << ox
                      | expect.Y.value << oy)
-        if not _agrees_with_group_law(curve, p1, p2, expect):
+        # P3 = P1 + P2 under the complete affine law, or P3 = O.
+        if not expect.is_infinity and not affine_equal(
+                ld_to_affine(expect), affine_add(curve, ld_to_affine(p1), p2)):
             bad |= 1 << k
     width = sim.width
     got = sim.run_lanes(to_lanes(inputs, width), (1 << len(chunk)) - 1)
-    for g, w in zip(got, to_lanes(wants, width)):
-        bad |= g ^ w
+    diffs = [g ^ w for g, w in zip(got, to_lanes(wants, width))]
+    for d in diffs:
+        bad |= d
     if not bad:
         return None
     k = (bad & -bad).bit_length() - 1
-    out = sum((g >> k & 1) << i for i, g in enumerate(got))
-    return k, _check_case(layout, curve, p2, chunk[k], out)
+    p1 = chunk[k]
+    tag = f"P1=({p1.X.value:#x},{p1.Y.value:#x},{p1.Z.value:#x})"
+    n = layout.n
+    for names, text in _REGISTER_CHECKS:
+        for name in names:
+            o = layout.offset(name)
+            if any(d >> k & 1 for d in diffs[o:o + n]):
+                return k, f"{tag}: {text.format(name)}"
+    return k, f"{tag}: output disagrees with the affine group law"
 
 
 def _generic(curve: Curve, p1_affine: AffinePoint, p2: AffinePoint) -> bool:

@@ -424,8 +424,18 @@ def ref_all_affine_points(curve):
 
 
 # ----------------------------------------------------------------------
-# Reference half-trace: the squaring loop
+# Reference trace and half-trace: squaring loops
 # ----------------------------------------------------------------------
+
+def ref_trace(a) -> int:
+    """a + a^2 + a^4 + ... + a^(2^(n-1)), which lies in {0, 1}."""
+    t = s = a
+    for _ in range(a.field.n - 1):
+        t = t.square()
+        s = s + t
+    assert s.value in (0, 1)
+    return s.value
+
 
 def ref_half_trace(a):
     """a + a^4 + a^16 + ... + a^(4^((n-1)/2)) by repeated squaring."""
@@ -454,7 +464,7 @@ def ref_verify_point_add(circuit, curve, p2, exhaustive=False, samples=1000,
     def check(p1):
         out = ref_simulate(circuit, layout.pack_inputs(
             p1.X.value, p1.Y.value, p1.Z.value))
-        expect = aldaoud_madd(curve, p1, p2, checked=False)
+        expect = aldaoud_madd(curve, p1, p2)
         tag = f"P1=({p1.X.value:#x},{p1.Y.value:#x},{p1.Z.value:#x})"
         for name, want in (("X1", p1.X.value), ("Y1", p1.Y.value),
                            ("Z1", p1.Z.value)):

@@ -9,7 +9,6 @@ from conftest import first_irreducible, ref_all_affine_points
 from ecadd.ecoracle import (
     AffinePoint,
     Curve,
-    GenericBranchError,
     LDPoint,
     PointError,
     affine_add,
@@ -117,7 +116,7 @@ class TestCoordinates:
     def test_ld_equal_distinguishes(self, f8):
         # Equality of LD points is equality of their affine images.
         one = f8.one()
-        x = f8.x()
+        x = f8.elem(2)
         p = ld_to_affine(LDPoint(one, one, one))
         q = ld_to_affine(LDPoint(x, x * x, x))  # same class, scaled by z = x
         r = ld_to_affine(LDPoint(x, one, one))
@@ -164,23 +163,11 @@ class TestMixedAddition:
                     want = affine_add(curve, p1, p2)
                     assert affine_equal(ld_to_affine(got), want)
 
-    def test_generic_branch_enforced(self, f8):
-        curve = Curve(f8.elem(1), f8.elem(1))
-        p = AffinePoint(f8.elem(2), f8.elem(5))
-        ldp = affine_to_ld(p)
-        with pytest.raises(GenericBranchError):
-            aldaoud_madd(curve, ldp, p)  # doubling
-        with pytest.raises(GenericBranchError):
-            aldaoud_madd(curve, affine_to_ld(negate(p)), p)  # inverse
-        with pytest.raises(GenericBranchError):
-            aldaoud_madd(curve, LDPoint(f8.one(), f8.one(), f8.zero()), p)
-
     def test_unchecked_is_total(self, f8):
-        # With checked=False the formula is evaluated on any input.
+        # The formula is evaluated on any input, P1 = O included.
         curve = Curve(f8.elem(1), f8.elem(1))
         p = AffinePoint(f8.elem(2), f8.elem(5))
-        out = aldaoud_madd(curve, LDPoint(f8.one(), f8.one(), f8.zero()), p,
-                           checked=False)
+        out = aldaoud_madd(curve, LDPoint(f8.one(), f8.one(), f8.zero()), p)
         assert out.is_infinity  # Z3 = (X1 + x2*Z1)^2 * Z1^2 = 0
 
 

@@ -9,25 +9,24 @@ from hypothesis import strategies as st
 from conftest import (
     first_irreducible,
     ref_field_mul,
+    ref_half_trace,
     ref_is_irreducible,
     ref_poly_divmod,
     ref_poly_inv_mod,
     ref_poly_mod,
-    ref_half_trace,
     ref_poly_mul,
+    ref_trace,
 )
 from ecadd.gf2field import (
     FieldElem,
     IrreduciblePoly,
     ModulusMismatch,
     NotInvertible,
-    UnsupportedField,
     is_irreducible,
     parse_element_text,
     parse_poly_text,
     poly_degree,
     poly_gcd,
-    poly_mod,
     poly_mul,
     poly_to_text,
     solve_quadratic,
@@ -85,18 +84,21 @@ class TestPolyArithmetic:
             q, r = ref_poly_divmod(a, b)
             assert poly_degree(r) < poly_degree(b)
             assert poly_mul(q, b) ^ r == a
-            assert poly_mod(a, b) == r == ref_poly_mod(a, b)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            poly_mod(5, 0)
+            assert r == ref_poly_mod(a, b)
 
     def test_gcd_properties(self, rng):
+        assert poly_gcd(0, 0) == 0
+        assert poly_gcd(0b1011, 0) == poly_gcd(0, 0b1011) == 0b1011
         for _ in range(100):
             a, b = rng.getrandbits(16), rng.getrandbits(16)
             g = poly_gcd(a, b)
             if a or b:
-                assert poly_mod(a, g) == 0 and poly_mod(b, g) == 0
+                assert ref_poly_mod(a, g) == 0 and ref_poly_mod(b, g) == 0
+            # The Euclidean algorithm with long division gives the same.
+            r0, r1 = a, b
+            while r1:
+                r0, r1 = r1, ref_poly_mod(r0, r1)
+            assert g == r0
 
     def test_inv_mod(self, f16):
         m = f16.bits  # 1+x+x^4, irreducible
@@ -194,25 +196,18 @@ class TestFieldElem:
         traces = [fld.elem(v).trace() for v in range(64)]
         assert sum(traces) == 32  # exactly half the elements have trace 1
 
-    def test_half_trace_solves_quadratic(self, rng):
-        fld = first_irreducible(9)
-        for _ in range(80):
-            a = fld.elem(rng.getrandbits(9))
-            if a.trace() == 0:
-                z = a.half_trace()
-                assert (z.square() + z).value == a.value
-
     @pytest.mark.parametrize("poly", ["1+x^2+x^5", "1+x+x^7", "1+x^3+x^17",
                                       "1+x+x^2+x^5+x^19", "1+x^74+x^233"])
     def test_half_trace_matches_squaring_loop(self, poly, rng):
+        # For odd n, the root solve_quadratic gives is the half-trace.
         fld = IrreduciblePoly.from_string(poly)
         for _ in range(30):
             a = fld.elem(rng.getrandbits(fld.n))
-            assert a.half_trace() == ref_half_trace(a)
-
-    def test_half_trace_even_degree_rejected(self, f16):
-        with pytest.raises(UnsupportedField):
-            f16.elem(3).half_trace()
+            z = solve_quadratic(a)
+            if ref_trace(a) == 0:
+                assert z == ref_half_trace(a)
+            else:
+                assert z is None
 
     def test_modulus_mismatch(self, f8, f16):
         # Parsing the same text twice gives equal, separate field objects;
@@ -237,7 +232,7 @@ class TestFieldElem:
         assert f8.weight == 3
         assert f8.support == (0, 1, 3)
         assert str(f8) == "1+x+x^3"
-        assert f8.x().value == 2
+        assert f8.elem("x").value == 2
         assert f8.one().value == 1 and f8.zero().value == 0
         with pytest.raises(AttributeError):
             f8.n = 4
@@ -254,6 +249,31 @@ class TestFieldElem:
 
 
 class TestSolveQuadratic:
+    def test_every_small_modulus(self):
+        """On every irreducible modulus with n <= 8 and every c: None
+        exactly when Tr c = 1; else the half-trace for odd n and the
+        smallest root for even n."""
+        for n in range(1, 9):
+            for bits in range(1 << n, 1 << (n + 1)):
+                if not (bits & 1 and ref_is_irreducible(bits)):
+                    continue
+                fld = IrreduciblePoly(bits)
+                smallest = {}
+                for z in range(1 << n):
+                    e = fld.elem(z)
+                    smallest.setdefault((e.square() + e).value, z)
+                for cv in range(1 << n):
+                    c = fld.elem(cv)
+                    z = solve_quadratic(c)
+                    trace = ref_trace(c)
+                    assert c.trace() == trace
+                    if trace:
+                        assert z is None
+                    elif n % 2:
+                        assert z == ref_half_trace(c)
+                    else:
+                        assert z.value == smallest[cv]
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 10])
     def test_solution_or_none_exhaustive(self, n):
         fld = first_irreducible(n)
@@ -309,6 +329,12 @@ def field_and_values(draw):
 class TestKernelExactness:
     """Each FieldElem operation gives the residue of schoolbook
     arithmetic with long division, bit for bit."""
+
+    def test_trace_matches_reference(self, rng):
+        for fld in KERNEL_FIELDS:
+            for v in [0, 1] + [rng.getrandbits(fld.n) for _ in range(8)]:
+                a = fld.elem(v)
+                assert a.trace() == ref_trace(a), (str(fld), v)
 
     @settings(max_examples=150, deadline=None)
     @given(field_and_values())

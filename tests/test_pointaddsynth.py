@@ -17,8 +17,10 @@ from ecadd.circuit_ir import CNOT, TOFFOLI, metrics
 from ecadd.ecoracle import (
     AffinePoint,
     Curve,
+    affine_add,
     aldaoud_madd,
     all_affine_points,
+    negate,
     random_point,
 )
 from ecadd.gf2field import IrreduciblePoly
@@ -181,9 +183,8 @@ class TestSemantics:
             x1, y1, z1 = s & 3, s >> n & 3, s >> 2 * n & 3
             out = sim.run(layout.pack_inputs(x1, y1, z1))
             from ecadd.ecoracle import LDPoint
-            expect = aldaoud_madd(
-                curve, LDPoint(fld.elem(x1), fld.elem(y1), fld.elem(z1)),
-                p2, checked=False)
+            p1 = LDPoint(fld.elem(x1), fld.elem(y1), fld.elem(z1))
+            expect = aldaoud_madd(curve, p1, p2)
             assert layout.extract(out, "X3") == expect.X.value
             assert layout.extract(out, "Y3") == expect.Y.value
             assert layout.extract(out, "Z3") == expect.Z.value
@@ -323,6 +324,17 @@ class TestLaneVerification:
                     past_first_chunk.add(size)
         assert {1, 4} <= past_first_chunk
 
+    def test_group_law_failure_named(self, monkeypatch):
+        # Registers all as the formula says, but the formula's output is
+        # not P1 + P2: only the per-case group-law check can see that.
+        curve, p2 = curve_with_point(3)
+        circ, _ = synth_point_add(curve, p2)
+        monkeypatch.setattr(pas, "affine_add",
+                            lambda *args: negate(affine_add(*args)))
+        got = verify_point_add(circ, curve, p2, exhaustive=True)
+        assert not got.ok and got.cases == 1
+        assert got.failure.endswith(": output disagrees with the affine group law")
+
     def test_no_generic_case_is_an_error(self):
         # On this curve the only affine points are +-P2.
         fld = first_irreducible(2)
@@ -334,25 +346,41 @@ class TestLaneVerification:
             verify_point_add(circ, curve, p2, exhaustive=True)
 
 
+# The DSS curves B-163 and B-233 (FIPS 186-4): modulus, a6, base point.
+DSS_CURVES = {
+    163: ("1+x^3+x^6+x^7+x^163",
+          0x20a601907b8c953ca1481eb10512f78744a3205fd,
+          0x3f0eba16286a2d57ea0991168d4994637e8343e36,
+          0xd51fbc6c71a0094fa2cdd545b11c5c0c797324f1),
+    233: ("1+x^74+x^233",
+          0x066647ede6c332c7f8c0923bb58213b333b20e9ce4281fe115f7d8f90ad,
+          0x0fac9dfcbac8313bb2139f1bb755fef65bc391f8b36f8f8eb7371fd558b,
+          0x1006a08a41903350678e58528bebf8a0beff867a7ca36716f7e01f81052),
+}
+
+
 class TestSampledInputs:
     # sha256 of the first 256 seeded inputs "X,Y,Z;" (hex), as drawn with
     # schoolbook field arithmetic (long division, quotient-polynomial
-    # inverse): the draws must not depend on how the arithmetic is done.
-    # n = 17 solves quadratics by the half-trace, n = 18 by Gauss-Jordan;
-    # the last field is the B-163 curve.
+    # inverse) and, for odd n, the half-trace root of z^2 + z = c: the
+    # draws must not depend on how the arithmetic or the solve is done.
+    # Odd n takes the root of trace 0, even n the root with bit 0 clear;
+    # the last two fields are the B-163 and B-233 curves.
     @pytest.mark.parametrize("n, digest", [
+        (5, "47f69e5cce342a6ddd7476aea7742103026c9143ab440c43d9c6796caa3c3c47"),
+        (7, "c5f70175e78625ae065f18ed9a3d00508a55e905dc4137380a5118068f0ebf39"),
         (17, "fe99dd8fcd391bb49907493d059e573c089e03617cf594626b5c972d3024633d"),
         (18, "73fe5a369f23fa17f845e4b6f550859509568e9e12711b21761576d5e8e1fab2"),
+        (19, "be3f23a564b3a8e5b36c434aa78b6baab58ac8b897cf0f14e09974d743036ea0"),
         (163, "6584fa44cda5854e040f99fa304af5529864b808b6d8a87dbc4a65ddfc039110"),
+        (233, "e2d8b33820da1a705b7bdbfd298b96946bec2cf684ce8cfce5f4ea84223f1111"),
     ])
     def test_first_draws_pinned(self, n, digest):
-        if n == 163:
-            fld = IrreduciblePoly.from_string("1+x^3+x^6+x^7+x^163")
-            curve = Curve(fld.elem(1), fld.elem(
-                0x20a601907b8c953ca1481eb10512f78744a3205fd))
-            p2 = AffinePoint(
-                fld.elem(0x3f0eba16286a2d57ea0991168d4994637e8343e36),
-                fld.elem(0xd51fbc6c71a0094fa2cdd545b11c5c0c797324f1))
+        if n in DSS_CURVES:
+            poly, a6, x2, y2 = DSS_CURVES[n]
+            fld = IrreduciblePoly.from_string(poly)
+            curve = Curve(fld.elem(1), fld.elem(a6))
+            p2 = AffinePoint(fld.elem(x2), fld.elem(y2))
         else:
             fld = first_irreducible(n)
             curve = Curve(fld.elem(1), fld.elem(1))
