@@ -27,7 +27,6 @@ from .gf2field import IrreduciblePoly, parse_element_text
 from .linmaps import matrix_of_sqrt, matrix_of_squaring
 from .pointaddsynth import (
     EXHAUSTIVE_MAX_N,
-    BoundViolation,
     OffCurveError,
     SynthesisError,
     multiplier_report,
@@ -290,9 +289,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except BoundViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except (AssertionError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -202,20 +202,6 @@ def random_point(curve: Curve, rng) -> AffinePoint:
         return AffinePoint(x, x * z)
 
 
-def scalar_mul(curve: Curve, k: int, p: AffinePoint) -> AffinePoint:
-    """k * P by double-and-add over the complete affine law."""
-    if k < 0:
-        return scalar_mul(curve, -k, negate(p))
-    acc = AffinePoint.infinity()
-    addend = p
-    while k:
-        if k & 1:
-            acc = affine_add(curve, acc, addend)
-        addend = affine_add(curve, addend, addend)
-        k >>= 1
-    return acc
-
-
 def all_affine_points(curve: Curve) -> list[AffinePoint]:
     """Every affine point, in ascending (x, y) order (small fields only).
 

@@ -1,8 +1,8 @@
-"""Minimal proper edge coloring of bipartite graphs.
+"""Minimal proper edge coloring of bipartite multigraphs.
 
-By Koenig's theorem the chromatic index of a bipartite (multi)graph equals
+By Koenig's theorem the chromatic index of a bipartite multigraph equals
 its maximum degree Delta, and this module always returns a coloring with
-exactly Delta colors.
+exactly Delta colors, as one color per edge in edge order.
 
 The algorithm pads the graph with dummy edges to a Delta-regular bipartite
 multigraph and then recursively splits it:
@@ -24,52 +24,39 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """A simple bipartite graph; edges are (left_vertex, right_vertex)."""
+    """A bipartite multigraph; edges are (left_vertex, right_vertex), and
+    the same pair may appear more than once."""
 
     left_count: int
     right_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen = set()
         for u, v in self.edges:
             if not (0 <= u < self.left_count and 0 <= v < self.right_count):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-
-    @property
-    def max_degree(self) -> int:
-        if not self.edges:
-            return 0
-        dl = [0] * self.left_count
-        dr = [0] * self.right_count
-        for u, v in self.edges:
-            dl[u] += 1
-            dr[v] += 1
-        return max(max(dl), max(dr))
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """A proper edge coloring; colors are 0 .. num_colors-1."""
+    """A proper edge coloring: ``colors[k]`` in 0 .. num_colors-1 is the
+    color of ``graph.edges[k]``."""
 
-    color_of: dict
+    colors: tuple[int, ...]
     num_colors: int
 
     def layers(self, graph: BipartiteGraph) -> list[list[tuple[int, int]]]:
         """Edges grouped by color, each layer in input edge order."""
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.num_colors)]
-        for e in graph.edges:
-            out[self.color_of[e]].append(e)
+        for e, c in zip(graph.edges, self.colors):
+            out[c].append(e)
         return out
 
 
 def color_edges(graph: BipartiteGraph) -> EdgeColoring:
-    """Properly color the edges with exactly max_degree colors."""
+    """Properly color the edges with exactly max-degree colors."""
     if not graph.edges:
-        return EdgeColoring({}, 0)
+        return EdgeColoring((), 0)
 
     # Compact away isolated vertices so padding cost scales with the
     # number of edges, not the declared vertex counts.
@@ -113,8 +100,7 @@ def color_edges(graph: BipartiteGraph) -> EdgeColoring:
     colors = [-1] * len(eu)
     _color_regular(eu, ev, nside, list(range(len(eu))), delta, 0, colors)
 
-    color_of = {graph.edges[k]: colors[k] for k in range(len(graph.edges))}
-    return EdgeColoring(color_of, delta)
+    return EdgeColoring(tuple(colors[:len(graph.edges)]), delta)
 
 
 def _color_regular(eu, ev, nside, edge_ids, d, base, colors):
@@ -147,11 +133,11 @@ def _euler_split(eu, ev, nside, edge_ids):
     for k in edge_ids:
         adj[eu[k]].append(k)
         adj[nside + ev[k]].append(k)
-    used = set()
+    used = bytearray(len(eu))
     ptr = [0] * (2 * nside)
     half_a, half_b = [], []
     for k0 in edge_ids:
-        if k0 in used:
+        if used[k0]:
             continue
         # Walk a closed trail starting from this edge's left endpoint.
         # All degrees are even, so the walk can only get stuck back at
@@ -161,13 +147,13 @@ def _euler_split(eu, ev, nside, edge_ids):
         while True:
             lst = adj[pos]
             i = ptr[pos]
-            while i < len(lst) and lst[i] in used:
+            while i < len(lst) and used[lst[i]]:
                 i += 1
             ptr[pos] = i
             if i == len(lst):
                 break
             k = lst[i]
-            used.add(k)
+            used[k] = 1
             (half_a if side == 0 else half_b).append(k)
             side ^= 1
             pos = nside + ev[k] if pos < nside else eu[k]

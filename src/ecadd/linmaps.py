@@ -2,8 +2,8 @@
 
 A matrix is stored as a tuple of n row bitmasks: bit i of ``rows[j]`` is
 the entry in row j, column i.  Vectors are packed integers (bit i =
-coordinate i) and act as columns, so ``apply`` computes output bit j as
-the parity of ``rows[j] & v``.
+coordinate i) and act as columns: output bit j of M v is the parity of
+``rows[j] & v``.
 
 Builders are provided for the three linear maps used by field-operation
 synthesis: multiplication by a nonzero constant, squaring (the Frobenius
@@ -38,46 +38,19 @@ class BinMatrix:
             if r < 0 or r & ~mask:
                 raise ValueError("row has bits outside the matrix width")
 
-    @classmethod
-    def identity(cls, n: int) -> "BinMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    def entry(self, j: int, i: int) -> int:
-        return self.rows[j] >> i & 1
-
     @property
     def weight(self) -> int:
         """Total number of nonzero entries."""
         return sum(r.bit_count() for r in self.rows)
 
     @property
-    def row_weights(self) -> tuple[int, ...]:
-        return tuple(r.bit_count() for r in self.rows)
-
-    @property
-    def col_weights(self) -> tuple[int, ...]:
-        return self.transpose().row_weights
-
-    @property
     def max_degree(self) -> int:
         """Largest row or column weight (the CNOT-depth of the map)."""
-        if self.weight == 0:
-            return 0
-        return max(max(self.row_weights), max(self.col_weights))
-
-    def transpose(self) -> "BinMatrix":
         cols = [0] * self.n
-        for j, r in enumerate(self.rows):
+        for r in self.rows:
             for i in support_of(r):
-                cols[i] |= 1 << j
-        return BinMatrix(self.n, tuple(cols))
-
-    def apply(self, v: int) -> int:
-        """Matrix-vector product on a packed vector."""
-        out = 0
-        for j, r in enumerate(self.rows):
-            out |= ((r & v).bit_count() & 1) << j
-        return out
+                cols[i] += 1
+        return max(max(r.bit_count() for r in self.rows), max(cols))
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
         if self.n != other.n:

@@ -88,9 +88,6 @@ class PointAddLayout:
     def offset(self, name: str) -> int:
         return REGISTER_ORDER.index(name) * self.n
 
-    def extract(self, state: int, name: str) -> int:
-        return state >> self.offset(name) & ((1 << self.n) - 1)
-
     def pack_inputs(self, x1: int, y1: int, z1: int) -> int:
         n = self.n
         return x1 | y1 << n | z1 << (2 * n)

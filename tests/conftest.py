@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -183,6 +184,36 @@ def _poly_text(bits: int) -> str:
         bits >>= 1
         i += 1
     return "+".join(terms)
+
+
+def ref_identity(n: int) -> BinMatrix:
+    """The n x n identity: row j holds the single entry in column j."""
+    return BinMatrix(n, tuple(1 << j for j in range(n)))
+
+
+def ref_apply(matrix: BinMatrix, v: int) -> int:
+    """M v over GF(2), one matrix entry at a time: entry (j, i) adds
+    coordinate i of v into output coordinate j."""
+    out = 0
+    for j in range(matrix.n):
+        for i in range(matrix.n):
+            if matrix.rows[j] >> i & 1 and v >> i & 1:
+                out ^= 1 << j
+    return out
+
+
+def ref_entries(matrix: BinMatrix) -> list[tuple[int, int]]:
+    """The (column, row) position of every nonzero entry."""
+    return [(i, j) for j in range(matrix.n) for i in range(matrix.n)
+            if matrix.rows[j] >> i & 1]
+
+
+def ref_max_degree(edges) -> int:
+    """Largest number of edges at one vertex of a bipartite (multi)graph,
+    counting the left and right sides apart."""
+    left = Counter(u for u, _ in edges)
+    right = Counter(v for _, v in edges)
+    return max(list(left.values()) + list(right.values()), default=0)
 
 
 def is_invertible(m: BinMatrix) -> bool:
@@ -447,8 +478,34 @@ def ref_half_trace(a):
 
 
 # ----------------------------------------------------------------------
+# Scalar multiples over the affine group law
+# ----------------------------------------------------------------------
+
+def scalar_mul(curve, k: int, p):
+    """k * P by double-and-add over ecoracle.affine_add, so every doubling
+    goes through affine_add's P + P branch."""
+    from ecadd.ecoracle import AffinePoint, affine_add, negate
+
+    if k < 0:
+        return scalar_mul(curve, -k, negate(p))
+    acc = AffinePoint.infinity()
+    addend = p
+    while k:
+        if k & 1:
+            acc = affine_add(curve, acc, addend)
+        addend = affine_add(curve, addend, addend)
+        k >>= 1
+    return acc
+
+
+# ----------------------------------------------------------------------
 # Reference verification: one case at a time, gate-by-gate simulation
 # ----------------------------------------------------------------------
+
+def read_register(layout, state: int, name: str) -> int:
+    """The n-bit value of register ``name`` in a packed circuit state."""
+    return state >> layout.offset(name) & ((1 << layout.n) - 1)
+
 
 def ref_verify_point_add(circuit, curve, p2, exhaustive=False, samples=1000,
                          seed=0):
@@ -468,12 +525,12 @@ def ref_verify_point_add(circuit, curve, p2, exhaustive=False, samples=1000,
         tag = f"P1=({p1.X.value:#x},{p1.Y.value:#x},{p1.Z.value:#x})"
         for name, want in (("X1", p1.X.value), ("Y1", p1.Y.value),
                            ("Z1", p1.Z.value)):
-            if layout.extract(out, name) != want:
+            if read_register(layout, out, name) != want:
                 return f"{tag}: input register {name} not restored"
         for name in ("C", "Bsq", "D", "Cp", "Z3p"):
-            if layout.extract(out, name) != 0:
+            if read_register(layout, out, name) != 0:
                 return f"{tag}: ancilla register {name} not cleared"
-        got = [layout.extract(out, r) for r in ("X3", "Y3", "Z3")]
+        got = [read_register(layout, out, r) for r in ("X3", "Y3", "Z3")]
         if got != [expect.X.value, expect.Y.value, expect.Z.value]:
             return f"{tag}: output differs from the mixed-addition formula"
         if not expect.is_infinity and not affine_equal(

@@ -16,6 +16,7 @@ from conftest import (
     random_invertible,
     ref_field_mul,
     ref_inverts_squaring,
+    ref_max_degree,
     ref_sqrt_columns,
     ref_squaring_columns,
     ref_weight,
@@ -289,13 +290,14 @@ def test_criterion_08_coloring_optimality_fuzz():
             edges.add((rng.randrange(nl), rng.randrange(nr)))
         graph = BipartiteGraph(nl, nr, tuple(edges))
         coloring = color_edges(graph)
-        assert coloring.num_colors == graph.max_degree
+        assert coloring.num_colors == ref_max_degree(graph.edges)
+        assert len(coloring.colors) == len(graph.edges)
         seen = set()
-        for (u, v), color in coloring.color_of.items():
+        for (u, v), color in zip(graph.edges, coloring.colors):
+            assert 0 <= color < coloring.num_colors
             assert (0, u, color) not in seen and (1, v, color) not in seen
             seen.add((0, u, color))
             seen.add((1, v, color))
-        assert set(coloring.color_of) == set(graph.edges)
     elapsed = time.monotonic() - t0
     ok = elapsed < 30
     verdict(8, ok, f"10000 graphs properly colored with exactly max-degree "

@@ -12,6 +12,7 @@ from ecadd.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
+from ecadd.pointaddsynth import BoundViolation
 from ecadd.qcformat import parse_qc
 
 
@@ -108,6 +109,18 @@ class TestSynth:
         assert main(synth_args(out)) == EXIT_VALIDATION
         assert "names no file" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["somedir"]
+
+    def test_bound_violation_is_internal_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        def violated(curve, p2, **kwargs):
+            raise BoundViolation("depth: 9 > bound 8")
+
+        monkeypatch.setattr(cli, "synth_point_add", violated)
+        out = tmp_path / "v.qc"
+        assert main(synth_args(out)) == EXIT_INTERNAL
+        assert capsys.readouterr().err \
+            == "internal error: depth: 9 > bound 8\n"
+        assert not out.exists()
 
     def test_decompose_flag(self, tmp_path, capsys):
         out = tmp_path / "d.qc"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import first_irreducible, ref_all_affine_points
+from conftest import first_irreducible, ref_all_affine_points, scalar_mul
 from ecadd.ecoracle import (
     AffinePoint,
     Curve,
@@ -21,7 +21,6 @@ from ecadd.ecoracle import (
     on_curve_affine,
     on_curve_ld,
     random_point,
-    scalar_mul,
 )
 
 
@@ -92,6 +91,8 @@ class TestAffineGroupLaw:
                 assert affine_equal(lhs, rhs)
 
     def test_scalar_mul_consistency(self):
+        # Double-and-add takes affine_add's P + P branch at every step;
+        # repeated addition adds P to kP, which takes it only at k = 1.
         curve = small_curves(3)[0]
         p = all_affine_points(curve)[0]
         acc = AffinePoint.infinity()

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
+from conftest import ref_max_degree
 from ecadd.edgecolor import BipartiteGraph, EdgeColoring, color_edges, graph_of_matrix
 from ecadd.linmaps import BinMatrix, matrix_of_squaring
 from ecadd.gf2field import IrreduciblePoly
 
 
 def assert_optimal_proper(graph: BipartiteGraph, coloring: EdgeColoring):
-    assert coloring.num_colors == graph.max_degree
-    assert set(coloring.color_of) == set(graph.edges)
+    assert coloring.num_colors == ref_max_degree(graph.edges)
+    assert len(coloring.colors) == len(graph.edges)
     seen = set()
-    for (u, v), c in coloring.color_of.items():
+    for (u, v), c in zip(graph.edges, coloring.colors):
         assert 0 <= c < coloring.num_colors
         assert ("L", u, c) not in seen, "left vertex repeats a color"
         assert ("R", v, c) not in seen, "right vertex repeats a color"
@@ -38,20 +39,19 @@ class TestBipartiteGraph:
             BipartiteGraph(2, 2, ((2, 0),))
         with pytest.raises(ValueError):
             BipartiteGraph(2, 2, ((0, -1),))
-        with pytest.raises(ValueError):
-            BipartiteGraph(2, 2, ((0, 0), (0, 0)))
 
     def test_max_degree(self):
+        # color_edges finds Delta itself: 3 edges meet at right vertex 0.
         g = BipartiteGraph(3, 2, ((0, 0), (1, 0), (2, 0), (0, 1)))
-        assert g.max_degree == 3
-        assert BipartiteGraph(4, 4, ()).max_degree == 0
+        assert color_edges(g).num_colors == ref_max_degree(g.edges) == 3
+        assert color_edges(BipartiteGraph(4, 4, ())).num_colors == 0
 
 
 class TestColorEdges:
     def test_empty(self):
         coloring = color_edges(BipartiteGraph(5, 5, ()))
         assert coloring.num_colors == 0
-        assert coloring.color_of == {}
+        assert coloring.colors == ()
 
     def test_single_edge(self):
         g = BipartiteGraph(1, 1, ((0, 0),))
@@ -76,6 +76,20 @@ class TestColorEdges:
         assert c.num_colors == 1
         assert_optimal_proper(g, c)
 
+    def test_multigraph(self, rng):
+        # Parallel edges each take their own color, and still only Delta.
+        g = BipartiteGraph(3, 3, ((0, 0), (0, 0), (1, 0), (0, 1), (2, 2),
+                                  (2, 2), (2, 2), (1, 1), (0, 0)))
+        c = color_edges(g)
+        assert c.num_colors == 4
+        assert_optimal_proper(g, c)
+        for _ in range(100):
+            nl, nr = rng.randint(1, 8), rng.randint(1, 8)
+            g = BipartiteGraph(nl, nr, tuple(
+                (rng.randrange(nl), rng.randrange(nr))
+                for _ in range(rng.randint(0, 40))))
+            assert_optimal_proper(g, color_edges(g))
+
     def test_isolated_vertices_do_not_cost(self):
         # Large vertex counts with two edges must still color with Delta.
         g = BipartiteGraph(10_000, 10_000, ((7, 3), (7, 9999)))
@@ -91,7 +105,7 @@ class TestColorEdges:
     def test_deterministic(self, rng):
         for _ in range(20):
             g = random_graph(rng)
-            assert color_edges(g).color_of == color_edges(g).color_of
+            assert color_edges(g).colors == color_edges(g).colors
 
     def test_layers_partition_edges(self, rng):
         for _ in range(50):
@@ -112,7 +126,7 @@ class TestGraphOfMatrix:
         g = graph_of_matrix(m)
         assert g.left_count == g.right_count == 2
         assert sorted(g.edges) == [(0, 0), (0, 1), (1, 1)]
-        assert g.max_degree == m.max_degree
+        assert ref_max_degree(g.edges) == m.max_degree
 
     def test_squaring_map_colors_with_depth_colors(self):
         fld = IrreduciblePoly.from_string("1+x^3+x^6+x^7+x^163")

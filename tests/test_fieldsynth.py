@@ -1,9 +1,21 @@
 """Synthesis of field operations as reversible circuits."""
 
+import hashlib
+import random
+
 import pytest
 
-from conftest import first_irreducible, random_invertible, ref_field_mul
+from conftest import (
+    first_irreducible,
+    random_invertible,
+    ref_apply,
+    ref_entries,
+    ref_field_mul,
+    ref_identity,
+    ref_max_degree,
+)
 from ecadd.circuit_ir import CircuitError, metrics
+from ecadd.ecoracle import Curve, random_point
 from ecadd.fieldsynth import (
     RegisterOverlap,
     add_register,
@@ -14,6 +26,7 @@ from ecadd.fieldsynth import (
     synth_linear,
     synth_mult,
 )
+from ecadd.gf2field import IrreduciblePoly
 from ecadd.linmaps import (
     BinMatrix,
     matrix_of_const_mul,
@@ -38,12 +51,12 @@ class TestLinearSynthesis:
             synth_linear(c, m, src, dst)
             r = metrics(c)
             assert r.total_gates == r.cnot_count == m.weight
-            assert r.depth == m.max_degree
+            assert r.depth == ref_max_degree(ref_entries(m))
             for _ in range(15):
                 a, b = rng.getrandbits(n), rng.getrandbits(n)
                 sa, sb = run2(c, a, b, n)
                 assert sa == a, "source register must be preserved"
-                assert sb == b ^ m.apply(a)
+                assert sb == b ^ ref_apply(m, a)
 
     def test_precomputed_layers_accepted(self, rng):
         m = random_invertible(5, rng)
@@ -55,12 +68,12 @@ class TestLinearSynthesis:
     def test_dimension_mismatch(self, f8):
         c, (src, dst) = new_circuit(4, "s", "d")
         with pytest.raises(CircuitError):
-            synth_linear(c, BinMatrix.identity(3), src, dst)
+            synth_linear(c, ref_identity(3), src, dst)
 
     def test_overlap_rejected(self):
         c, (src,) = new_circuit(3, "s")
         with pytest.raises(RegisterOverlap):
-            synth_linear(c, BinMatrix.identity(3), src, src)
+            synth_linear(c, ref_identity(3), src, src)
 
     def test_add_inplace(self, rng):
         n = 6
@@ -71,6 +84,51 @@ class TestLinearSynthesis:
         for _ in range(20):
             a, b = rng.getrandbits(n), rng.getrandbits(n)
             assert run2(c, a, b, n) == (a, a ^ b)
+
+
+class TestPinnedLayers:
+    # sha256 of repr(linear_layers(m)) for the six distinct linear maps of
+    # point addition on y^2 + xy = x^3 + x^2 + 1 (a2 = 1, so the a2 map is
+    # the identity) at a seeded point.  The layers fix the gate order of
+    # every linear block, so a change to the edge coloring that moves any
+    # CNOT shows here.
+    PINNED = {
+        "1+x^3+x^6+x^7+x^163": {
+            "S": "836b44fe57efb3664c88abdd2da1c239734bcd82afff54c5d0d404a186e95480",
+            "SR": "041878df01972462e7c36a70e152b2612c0339c8cab914ce7805db1305cd2f21",
+            "X": "81a4b2894be53b59da1ebd0204bff952fe9d3f991d26ba47882a3e057eb64ed7",
+            "SM": "51172206f520c669278fc67552da2378dfd69ebc19e9538d9efa0163bdfabaa0",
+            "xyZ": "86e19f3cf0ee4be26b424d7edb66fc41a0b1d3d3f21d68c70e071184e14b9f52",
+            "a2": "80675bf455ab2636e5635f6c3d2570b4a8f238a2900cf15747bd84a057934136",
+        },
+        "1+x^74+x^233": {
+            "S": "e7c9d11f214f36476c5057fdfb15ef9a6b1b6110e2db819e965ef64c1679a07a",
+            "SR": "a6872832cb5752ae29f1d33c1bc6bc7b727ec1ad15449c3e137dc2bb844f6d0a",
+            "X": "55d1cb0e58638cf33e67970d92bd4e73a554d05884fdfb56b1d6d49f83ab950b",
+            "SM": "1dbaef1e878a05e8693c321fabc2ce9ea1fd87d0ca829c052f423aaa63b51573",
+            "xyZ": "82060661e41fd9967507acf7aa75e2e2d223005f9c7a8de6017360805a6eeeed",
+            "a2": "431c20a04a1a4ba493886505e1c0f7fc9d79eb64c1acfb0b884f5143a318b305",
+        },
+    }
+
+    @pytest.mark.parametrize("poly", sorted(PINNED))
+    def test_dss_layers_pinned(self, poly):
+        fld = IrreduciblePoly.from_string(poly)
+        curve = Curve(fld.one(), fld.one())
+        p2 = random_point(curve, random.Random(163))
+        sq = matrix_of_squaring(fld)
+        matrices = {
+            "S": sq,
+            "SR": matrix_of_sqrt(fld),
+            "X": matrix_of_const_mul(p2.x),
+            "SM": matrix_of_const_mul(p2.y) @ sq,
+            "xyZ": matrix_of_const_mul(p2.x + p2.y) @ sq,
+            "a2": matrix_of_const_mul(curve.a2),
+        }
+        got = {label: hashlib.sha256(
+                   repr(linear_layers(m)).encode()).hexdigest()
+               for label, m in matrices.items()}
+        assert got == self.PINNED[poly]
 
 
 class TestFieldOps:
