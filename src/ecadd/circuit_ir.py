@@ -9,16 +9,19 @@ one flat list in gate order and never nest, like the blocks of a ``.qc``
 file; writers render each group as a named block.
 
 Metrics are computed by earliest-start scheduling: a gate starts one time
-unit after the latest finish time on any of its wires.  ``t_depth`` uses
-the same recurrence but only T/T-dagger gates take time.  A second,
-"decomposed" set of figures treats each Toffoli as its standard 15-gate
-Clifford+T realization: gate counts are exact, while depth and T-depth
-charge every Toffoli 8 depth units / 4 T-stages as a block, which is how
-composition bounds for Toffoli-level constructions are accounted.
+unit after the latest finish time on any of its wires.  There is one
+T-count and one T-depth, those of the Clifford+T circuit: each Toffoli
+is charged its 15-gate template, 7 T/T-dagger gates and 4 T-stages on
+all three wires as a block, and every T/T-dagger costs one T-stage.
+``depth`` is the gate-level depth; the "decomposed" figures give the
+Clifford+T gate counts, exact, and a depth that charges each Toffoli 8
+units as a block, which is how composition bounds for Toffoli-level
+constructions are accounted.  On a Toffoli-free circuit the block
+figures are the circuit's own.
 
 ``metrics`` takes every figure in one pass over the gate list, branching
-on the gate kind.  Alongside the four global per-wire levels it keeps a
-fifth, relative level, reset to zero on every wire at the start of each
+on the gate kind.  Alongside the three global per-wire levels it keeps a
+fourth, relative level, reset to zero on every wire at the start of each
 group; the largest relative level when the group ends is the group's
 own depth, the depth it would have as a circuit by itself.
 Per-kind counts of the circuit and of each group come from the same loop.
@@ -27,7 +30,7 @@ Per-kind counts of the circuit and of each group come from the same loop.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 NOT, CNOT, TOFFOLI, H, T, T_DAGGER, S, S_DAGGER = range(8)
@@ -57,8 +60,8 @@ TOFFOLI_TEMPLATE = (
     (H, 2),
 )
 
-# Per-Toffoli contributions of the template, used for exact decomposed
-# gate counts and for block-accounted decomposed depth figures.
+# Per-Toffoli contributions of the template, used for the exact
+# Clifford+T gate counts and the block-accounted depth and T-depth.
 TOFFOLI_DECOMP_COUNTS = {CNOT: 6, H: 2, T: 4, T_DAGGER: 3}
 TOFFOLI_DECOMP_DEPTH = 8
 TOFFOLI_DECOMP_T_DEPTH = 4
@@ -207,32 +210,38 @@ class DecomposedMetrics:
     t_depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResourceReport:
+    """Resource figures of a circuit; its fields, in order, are the keys
+    of the body of a ``.report.json``.  ``t_count`` and ``t_depth`` are
+    the Clifford+T figures (each Toffoli charged its template)."""
+
     counts: dict
-    total_gates: int
     toffoli_count: int
     t_count: int
-    cnot_count: int
     depth: int
     t_depth: int
     width: int
     subcircuits: tuple
+    bounds: dict = None
     decomposed: DecomposedMetrics
-    bounds: dict = field(default=None)
+
+    @property
+    def total_gates(self) -> int:
+        return sum(self.counts.values())
 
 
 def _sweep(gates, count, levels, total):
     """Schedule the next ``count`` gates of the iterator ``gates``.
 
-    ``levels`` holds the four global per-wire levels: depth, T-depth and
-    their block-accounted counterparts, where a Toffoli takes 8 depth
-    units and 4 T-stages on all three wires.  They are advanced in place,
-    and the span's per-kind counts are added to ``total``.  Returns the
-    span's counts and its own depth, measured on levels that start at
-    zero on every wire.
+    ``levels`` holds the three global per-wire levels: depth, Clifford+T
+    depth and T-depth, where a Toffoli takes 8 depth units and 4
+    T-stages on all three wires.  They are advanced in place, and the
+    span's per-kind counts are added to ``total``.  Returns the span's
+    counts and its own depth, measured on levels that start at zero on
+    every wire.
     """
-    level, tlevel, blevel, btlevel = levels
+    level, clevel, tlevel = levels
     rel = [0] * len(level)
     counts = [0] * len(KIND_NAMES)
     for g in islice(gates, count):
@@ -242,12 +251,10 @@ def _sweep(gates, count, levels, total):
             _, a, b = g
             x, y = level[a], level[b]
             level[a] = level[b] = (x if x > y else y) + 1
+            x, y = clevel[a], clevel[b]
+            clevel[a] = clevel[b] = (x if x > y else y) + 1
             x, y = tlevel[a], tlevel[b]
             tlevel[a] = tlevel[b] = x if x > y else y
-            x, y = blevel[a], blevel[b]
-            blevel[a] = blevel[b] = (x if x > y else y) + 1
-            x, y = btlevel[a], btlevel[b]
-            btlevel[a] = btlevel[b] = x if x > y else y
             x, y = rel[a], rel[b]
             rel[a] = rel[b] = (x if x > y else y) + 1
         elif k == TOFFOLI:
@@ -256,19 +263,15 @@ def _sweep(gates, count, levels, total):
             if y > x:
                 x = y
             level[a] = level[b] = level[c] = (x if x > z else z) + 1
+            x, y, z = clevel[a], clevel[b], clevel[c]
+            if y > x:
+                x = y
+            clevel[a] = clevel[b] = clevel[c] = \
+                (x if x > z else z) + TOFFOLI_DECOMP_DEPTH
             x, y, z = tlevel[a], tlevel[b], tlevel[c]
             if y > x:
                 x = y
-            tlevel[a] = tlevel[b] = tlevel[c] = x if x > z else z
-            x, y, z = blevel[a], blevel[b], blevel[c]
-            if y > x:
-                x = y
-            blevel[a] = blevel[b] = blevel[c] = \
-                (x if x > z else z) + TOFFOLI_DECOMP_DEPTH
-            x, y, z = btlevel[a], btlevel[b], btlevel[c]
-            if y > x:
-                x = y
-            btlevel[a] = btlevel[b] = btlevel[c] = \
+            tlevel[a] = tlevel[b] = tlevel[c] = \
                 (x if x > z else z) + TOFFOLI_DECOMP_T_DEPTH
             x, y, z = rel[a], rel[b], rel[c]
             if y > x:
@@ -277,11 +280,10 @@ def _sweep(gates, count, levels, total):
         else:
             _, a = g
             level[a] += 1
-            blevel[a] += 1
+            clevel[a] += 1
             rel[a] += 1
             if k == T or k == T_DAGGER:
                 tlevel[a] += 1
-                btlevel[a] += 1
     for k, c in enumerate(counts):
         total[k] += c
     return counts, max(rel, default=0)
@@ -294,7 +296,7 @@ def metrics(circuit: Circuit) -> ResourceReport:
     them.  Every span advances the global schedule and yields
     its own counts and depth; only the groups' figures are reported.
     """
-    levels = tuple([0] * circuit.width for _ in range(4))
+    levels = tuple([0] * circuit.width for _ in range(3))
     gates = iter(circuit._gates)
     counts = [0] * len(KIND_NAMES)
     subs = []
@@ -306,30 +308,27 @@ def metrics(circuit: Circuit) -> ResourceReport:
         subs.append(GroupMetrics(grp.label, dict(zip(KIND_NAMES, gcounts)),
                                  gdepth))
     _sweep(gates, len(circuit._gates) - pos, levels, counts)
-    depth, t_depth, b_depth, bt_depth = (max(lv, default=0) for lv in levels)
+    depth, c_depth, t_depth = (max(lv, default=0) for lv in levels)
 
     tof = counts[TOFFOLI]
-    dcounts = {KIND_NAMES[k]: counts[k] for k in range(len(KIND_NAMES))}
+    dcounts = dict(zip(KIND_NAMES, counts))
     dcounts["toffoli"] = 0
     for k, per in TOFFOLI_DECOMP_COUNTS.items():
         dcounts[KIND_NAMES[k]] += per * tof
-    dtotal = sum(dcounts.values())
-    decomposed = DecomposedMetrics(
-        counts=dcounts,
-        total_gates=dtotal,
-        t_count=dcounts["t"] + dcounts["t_dagger"],
-        depth=b_depth,
-        t_depth=bt_depth,
-    )
+    t_count = dcounts["t"] + dcounts["t_dagger"]
     return ResourceReport(
-        counts={KIND_NAMES[k]: counts[k] for k in range(len(KIND_NAMES))},
-        total_gates=len(circuit._gates),
+        counts=dict(zip(KIND_NAMES, counts)),
         toffoli_count=tof,
-        t_count=counts[T] + counts[T_DAGGER],
-        cnot_count=counts[CNOT],
+        t_count=t_count,
         depth=depth,
         t_depth=t_depth,
         width=circuit.width,
         subcircuits=tuple(subs),
-        decomposed=decomposed,
+        decomposed=DecomposedMetrics(
+            counts=dcounts,
+            total_gates=sum(dcounts.values()),
+            t_count=t_count,
+            depth=c_depth,
+            t_depth=t_depth,
+        ),
     )

@@ -17,6 +17,7 @@ provides the default seed of ``verify``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -102,36 +103,17 @@ def _job_from_args(args) -> JobSpec:
 def report_to_json(job: JobSpec, report) -> dict:
     """Stable-ordered JSON payload for a synthesis report."""
     mult = multiplier_report(job.field)
-    g_mt = mult.decomposed.t_count
-    d_mt = mult.decomposed.t_depth
     return {
         "schema": 1,
         "n": job.field.n,
         "poly": str(job.field),
         "multiplier_variant": "maslov_shift",
-        "counts": report.counts,
-        "toffoli_count": report.toffoli_count,
-        "t_count": report.decomposed.t_count,
-        "depth": report.depth,
-        "t_depth": report.decomposed.t_depth,
-        "width": report.width,
-        "subcircuits": [
-            {"label": s.label, "counts": s.counts, "depth": s.depth}
-            for s in report.subcircuits
-        ],
-        "bounds": report.bounds,
-        "decomposed": {
-            "counts": report.decomposed.counts,
-            "total_gates": report.decomposed.total_gates,
-            "t_count": report.decomposed.t_count,
-            "depth": report.decomposed.depth,
-            "t_depth": report.decomposed.t_depth,
-        },
+        **dataclasses.asdict(report),
         "prior_reference": {
             # Literature formulas for the earlier 13-multiplication
             # construction, evaluated with this field's multiplier cost.
-            "t_count": 13 * g_mt,
-            "t_depth": 4 * d_mt,
+            "t_count": 13 * mult.t_count,
+            "t_depth": 4 * mult.t_depth,
         },
     }
 

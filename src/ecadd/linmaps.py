@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from .gf2field import FieldElem, IrreduciblePoly, support_of
 
 
-class SingularMatrixError(ValueError):
-    """Matrix (or requested map) is not invertible."""
-
-
 @dataclass(frozen=True)
 class BinMatrix:
     """A square bit matrix over GF(2) with packed integer rows."""
@@ -65,26 +61,6 @@ class BinMatrix:
             rows.append(acc)
         return BinMatrix(self.n, tuple(rows))
 
-    def invert(self) -> "BinMatrix":
-        """Inverse over GF(2) via Gauss-Jordan elimination."""
-        n = self.n
-        # Augmented rows: low n bits = self, high n bits = identity.
-        aug = [self.rows[j] | (1 << (n + j)) for j in range(n)]
-        for col in range(n):
-            pivot = None
-            for j in range(col, n):
-                if aug[j] >> col & 1:
-                    pivot = j
-                    break
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular over GF(2)")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            prow = aug[col]
-            for j in range(n):
-                if j != col and aug[j] >> col & 1:
-                    aug[j] ^= prow
-        return BinMatrix(n, tuple(r >> n for r in aug))
-
 
 # ----------------------------------------------------------------------
 # Field-map builders
@@ -123,5 +99,22 @@ def matrix_of_squaring(field: IrreduciblePoly) -> BinMatrix:
 
 
 def matrix_of_sqrt(field: IrreduciblePoly) -> BinMatrix:
-    """Matrix of the inverse Frobenius map a -> sqrt(a)."""
-    return matrix_of_squaring(field).invert()
+    """Matrix of the inverse Frobenius map a -> sqrt(a).
+
+    Column i is sqrt(x^i): x^(i/2) for even i and x^((i-1)/2) * sqrt(x)
+    for odd i, where sqrt(x) = x^(2^(n-1)) (Hankerson, Menezes and
+    Vanstone, Guide to ECC, section 2.3).
+    """
+    reduce = field.reduce
+    n = field.n
+    odd = reduce(0b10)
+    for _ in range(n - 1):
+        odd = field.square(odd)
+    cols = []
+    for i in range(n):
+        if i & 1:
+            cols.append(odd)
+            odd = reduce(odd << 1)
+        else:
+            cols.append(1 << (i >> 1))
+    return _matrix_from_columns(n, cols)

@@ -48,7 +48,6 @@ from .ecoracle import (
     random_point,
 )
 from .fieldsynth import (
-    RegisterRef,
     add_register,
     linear_layers,
     standalone_multiplier,
@@ -111,9 +110,10 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     """Build the full 16-step addition circuit and its resource report.
 
     The circuit is at the Toffoli level; the report describes it, with
-    exact decomposed Clifford+T figures alongside.  To write it at the
-    Clifford+T level, ``qcformat.write_qc(circuit, clifford_t=True)``
-    expands each Toffoli as it writes it.
+    the T figures and the decomposed counts of its Clifford+T form.  To
+    write it at the Clifford+T level,
+    ``qcformat.write_qc(circuit, clifford_t=True)`` expands each Toffoli
+    as it writes it.
     """
     if p2.is_infinity:
         raise SynthesisError("the fixed point P2 must be affine (not O)")
@@ -211,21 +211,19 @@ def check_bounds(report: ResourceReport, n: int,
     """Compare a point-addition report against its guaranteed bounds.
 
     All bounds are stated at the Toffoli level except the T figures,
-    which use the decomposed (block-accounted) values; T-count and width
+    which are the Clifford+T (block-accounted) values; T-count and width
     must match their formulas exactly, the rest must not be exceeded.
     Returns {name: {"bound": b, "achieved": a}} and raises
     :class:`BoundViolation` on any failure.
     """
     g_m = mult_report.total_gates
     d_m = mult_report.depth
-    g_mt = mult_report.decomposed.t_count
-    d_mt = mult_report.decomposed.t_depth
 
     entries = {
-        "t_count": (5 * g_mt, report.decomposed.t_count, "eq"),
+        "t_count": (5 * mult_report.t_count, report.t_count, "eq"),
         "total_gates": (5 * g_m + 5 * g_s + 10 * n * n - 2 * n + 10,
                         report.total_gates, "le"),
-        "t_depth": (4 * d_mt, report.decomposed.t_depth, "le"),
+        "t_depth": (4 * mult_report.t_depth, report.t_depth, "le"),
         "depth": (3 * d_m + max(d_m, n) + d_s + 7 * n + 4,
                   report.depth, "le"),
         "width": (11 * n, report.width, "eq"),

@@ -28,7 +28,7 @@ from ecadd.circuit_ir import (
     Circuit,
 )
 from ecadd.gf2field import IrreduciblePoly
-from ecadd.linmaps import BinMatrix, SingularMatrixError
+from ecadd.linmaps import BinMatrix
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +217,17 @@ def ref_max_degree(edges) -> int:
 
 
 def is_invertible(m: BinMatrix) -> bool:
-    try:
-        m.invert()
-        return True
-    except SingularMatrixError:
-        return False
+    """Full rank over GF(2): each column in turn has a pivot among the
+    rows not yet used, which is then cleared from the other rows."""
+    rows = list(m.rows)
+    for col in range(m.n):
+        bit = 1 << col
+        pivot = next((r for r in rows if r & bit), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        rows = [r ^ pivot if r & bit else r for r in rows]
+    return True
 
 
 def random_invertible(n: int, rng: random.Random) -> BinMatrix:

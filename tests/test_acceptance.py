@@ -4,12 +4,9 @@ Each test prints `criterion N: PASS|FAIL - detail` before asserting, so
 the full verdict list survives in the captured output of a -rA run.
 """
 
-import itertools
 import random
 import resource
 import time
-
-import pytest
 
 from conftest import (
     first_irreducible,

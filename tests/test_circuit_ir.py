@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_classical_circuit, ref_metrics, ref_simulate
+from conftest import random_classical_circuit, ref_metrics
 from ecadd.circuit_ir import (
     ARITY,
     CNOT,
@@ -28,6 +28,7 @@ from ecadd.circuit_ir import (
     decompose_toffoli,
     metrics,
 )
+from ecadd.qcformat import parse_qc, write_qc
 from ecadd.revsim import Simulator
 
 
@@ -139,12 +140,13 @@ class TestMetrics:
         c.append(TOFFOLI, 0, 1, 2)
         r = metrics(c)
         assert r.counts["not"] == 1
-        assert r.cnot_count == 2
+        assert r.counts["cnot"] == 2
         assert r.toffoli_count == 1
         assert r.total_gates == 4
         assert r.width == 3
         assert r.depth == 4  # all gates chained through wire 0
-        assert r.t_depth == 0 and r.t_count == 0
+        # The Toffoli is charged its Clifford+T template.
+        assert r.t_depth == 4 and r.t_count == 7
 
     def test_parallel_gates_share_a_level(self):
         c = three_wire("a", "b", "c", "d")
@@ -193,12 +195,30 @@ class TestMetrics:
     @given(grouped_circuits())
     def test_one_pass_engine_matches_reference(self, c):
         r = metrics(c)
-        (depth, t_depth, b_depth, bt_depth), subs = ref_metrics(c)
-        assert (r.depth, r.t_depth) == (depth, t_depth)
+        (depth, _, b_depth, bt_depth), subs = ref_metrics(c)
+        assert (r.depth, r.t_depth) == (depth, bt_depth)
         assert (r.decomposed.depth, r.decomposed.t_depth) == (b_depth, bt_depth)
         assert [(s.label, s.counts, s.depth) for s in r.subcircuits] == subs
         kinds = Counter(KIND_NAMES[g[0]] for g in c.gate_tuples())
         assert r.counts == {name: kinds[name] for name in KIND_NAMES}
+        assert r.t_count == kinds["t"] + kinds["t_dagger"] \
+            + 7 * kinds["toffoli"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_circuits())
+    def test_t_figures_are_those_of_the_clifford_t_circuit(self, c):
+        # Written with each Toffoli expanded and parsed back, the circuit
+        # has no Toffoli; its T figures are the gate-level ones of the
+        # reference, and the block-accounted figures bound them.
+        r = metrics(c)
+        expanded = parse_qc(write_qc(c, clifford_t=True))
+        e = metrics(expanded)
+        (depth, t_depth, _, _), _ = ref_metrics(expanded)
+        kinds = Counter(g[0] for g in expanded.gate_tuples())
+        assert (e.t_count, e.t_depth) == (kinds[T] + kinds[T_DAGGER], t_depth)
+        assert e.depth == e.decomposed.depth == depth
+        assert e.t_count == r.t_count
+        assert e.t_depth <= r.t_depth and e.depth <= r.decomposed.depth
 
 
 class TestToffoliTemplate:

@@ -1,5 +1,6 @@
 """Command-line interface: flags, files, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -28,6 +29,7 @@ B163_VERIFY = [
     "--x2", "0x3f0eba16286a2d57ea0991168d4994637e8343e36",
     "--y2", "0xd51fbc6c71a0094fa2cdd545b11c5c0c797324f1",
     "--samples", "128"]
+TOY_JOB = synth_args("add.qc")
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +129,29 @@ class TestSynth:
         assert main(synth_args(out, ["--decompose"])) == EXIT_OK
         text = out.read_text()
         assert "H " in text and "T* " in text
+
+
+def report_sha256(argv, report=None) -> str:
+    """sha256 of the .report.json text of a job, synthesized unless its
+    report is given."""
+    job = cli._job_from_args(cli.build_parser().parse_args(argv))
+    if report is None:
+        _, report = cli.synth_point_add(job.curve, job.p2)
+    text = json.dumps(cli.report_to_json(job, report), indent=2) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestReportPin:
+    """The report of the toy job and of the DSS curve B-163 with its base
+    point, pinned byte for byte: keys, their order and every value."""
+
+    def test_toy_report_bytes(self):
+        assert report_sha256(TOY_JOB) == (
+            "fe687f7a2fbb6785754792fab4521664b68afa94803b08618fec35e8c006d7d2")
+
+    def test_b163_report_bytes(self, b163_circuit):
+        assert report_sha256(B163_VERIFY, b163_circuit[1]) == (
+            "9c2204ad655c2f606d174847014f5d9227bea2c848afbc9b1bf971385ce945f7")
 
 
 class TestTables:

@@ -18,7 +18,6 @@ from ecadd.circuit_ir import CircuitError, metrics
 from ecadd.ecoracle import Curve, random_point
 from ecadd.fieldsynth import (
     RegisterOverlap,
-    add_register,
     linear_layers,
     new_circuit,
     standalone_multiplier,
@@ -50,7 +49,7 @@ class TestLinearSynthesis:
             c, (src, dst) = new_circuit(n, "s", "d")
             synth_linear(c, m, src, dst)
             r = metrics(c)
-            assert r.total_gates == r.cnot_count == m.weight
+            assert r.total_gates == r.counts["cnot"] == m.weight
             assert r.depth == ref_max_degree(ref_entries(m))
             for _ in range(15):
                 a, b = rng.getrandbits(n), rng.getrandbits(n)
@@ -63,7 +62,7 @@ class TestLinearSynthesis:
         layers = linear_layers(m)
         c, (src, dst) = new_circuit(5, "s", "d")
         synth_linear(c, m, src, dst, layers)
-        assert metrics(c).cnot_count == m.weight
+        assert metrics(c).counts["cnot"] == m.weight
 
     def test_dimension_mismatch(self, f8):
         c, (src, dst) = new_circuit(4, "s", "d")
@@ -80,7 +79,7 @@ class TestLinearSynthesis:
         c, (src, dst) = new_circuit(n, "s", "d")
         synth_add_inplace(c, src, dst)
         r = metrics(c)
-        assert r.cnot_count == n and r.depth == 1
+        assert r.counts["cnot"] == n and r.depth == 1
         for _ in range(20):
             a, b = rng.getrandbits(n), rng.getrandbits(n)
             assert run2(c, a, b, n) == (a, a ^ b)
@@ -182,7 +181,7 @@ class TestMultiplier:
             r = metrics(standalone_multiplier(fld))
             w = fld.weight
             assert r.toffoli_count == n * n
-            assert r.cnot_count == 2 * (n - 1) * (w - 2)
+            assert r.counts["cnot"] == 2 * (n - 1) * (w - 2)
             assert r.counts["not"] == 0
             assert r.width == 3 * n, "no ancillae"
 

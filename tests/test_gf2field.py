@@ -1,7 +1,5 @@
 """Binary-field arithmetic against naive reference implementations."""
 
-import random
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st

@@ -1,7 +1,5 @@
 """Bit-matrix linear maps: structure, builders, and cost figures."""
 
-import random
-
 import pytest
 
 from conftest import (
@@ -17,7 +15,6 @@ from conftest import (
 from ecadd.gf2field import IrreduciblePoly
 from ecadd.linmaps import (
     BinMatrix,
-    SingularMatrixError,
     matrix_of_const_mul,
     matrix_of_sqrt,
     matrix_of_squaring,
@@ -63,16 +60,6 @@ class TestBinMatrix:
             for _ in range(10):
                 v = rng.getrandbits(n)
                 assert ref_apply(ab, v) == ref_apply(a, ref_apply(b, v))
-
-    def test_invert(self, rng):
-        ident = ref_identity(6)
-        for _ in range(40):
-            m = random_invertible(6, rng)
-            assert m @ m.invert() == ident
-            assert m.invert() @ m == ident
-        with pytest.raises(SingularMatrixError):
-            BinMatrix(3, (0, 1, 2)).invert()
-        assert not is_invertible(BinMatrix(2, (3, 3)))
 
 
 class TestFieldMapBuilders:
@@ -141,3 +128,11 @@ class TestFieldMapBuilders:
         for n in (1, 2, 7, 20):
             for _ in range(10):
                 assert is_invertible(random_invertible(n, rng))
+        # The rank check against the definition: every matrix with n <= 3
+        # is invertible iff it maps the 2^n vectors to 2^n distinct ones.
+        for n in (1, 2, 3):
+            for bits in range(1 << (n * n)):
+                m = BinMatrix(n, tuple(bits >> (n * j) & ((1 << n) - 1)
+                                       for j in range(n)))
+                images = {ref_apply(m, v) for v in range(1 << n)}
+                assert is_invertible(m) == (len(images) == 1 << n)

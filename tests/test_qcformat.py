@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_classical_circuit, ref_simulate, ref_write_qc
+from conftest import random_classical_circuit, ref_write_qc
 from ecadd.circuit_ir import (
     ARITY,
     CNOT,
     KIND_NAMES,
     NOT,
-    T,
     TOFFOLI,
     Circuit,
     decompose_toffoli,
