@@ -41,7 +41,9 @@ ARITY = (1, 2, 3, 1, 1, 1, 1, 1)
 # Clifford+T realization of TOFFOLI(c1, c2, t): 15 gates, 7 of them
 # T/T-dagger, scheduled depth 8 and T-depth 4.  Entries are
 # (kind, role...) with roles 0/1 = controls, 2 = target; two-wire
-# entries are (CNOT, control_role, target_role).
+# entries are (CNOT, control_role, target_role).  ``qcformat`` writes
+# the same 15 gates out by hand as one f-string;
+# ``test_clifford_t_toffoli_is_the_template`` keeps the two in step.
 TOFFOLI_TEMPLATE = (
     (T, 0),
     (T, 1),

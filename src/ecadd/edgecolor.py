@@ -111,58 +111,60 @@ def _color_regular(eu, ev, nside, edge_ids, d, base, colors):
             colors[k] = base
         return
     if d % 2 == 0:
-        half_a, half_b = _euler_split(eu, ev, nside, edge_ids)
-        _color_regular(eu, ev, nside, half_a, d // 2, base, colors)
-        _color_regular(eu, ev, nside, half_b, d // 2, base + d // 2, colors)
+        trails = _euler_split(eu, ev, nside, edge_ids)
+        _color_regular(eu, ev, nside, trails[0::2], d // 2, base, colors)
+        _color_regular(eu, ev, nside, trails[1::2], d // 2, base + d // 2,
+                       colors)
         return
-    matched = _perfect_matching(eu, ev, nside, edge_ids)
-    rest = []
-    for k in edge_ids:
-        if k in matched:
-            colors[k] = base
-        else:
-            rest.append(k)
+    for k in _perfect_matching(eu, ev, nside, edge_ids):
+        colors[k] = base
+    rest = [k for k in edge_ids if colors[k] < 0]
     _color_regular(eu, ev, nside, rest, d - 1, base + 1, colors)
 
 
 def _euler_split(eu, ev, nside, edge_ids):
-    """Split an even-regular bipartite multigraph into two halves with
-    equal degrees, by alternating along Euler circuits."""
-    # Vertex encoding: left u -> u, right v -> nside + v.
-    adj: list[list[int]] = [[] for _ in range(2 * nside)]
-    for k in edge_ids:
-        adj[eu[k]].append(k)
-        adj[nside + ev[k]].append(k)
+    """The edges of an even-regular bipartite multigraph along closed
+    trails, one after another.  Every trail starts on the left side and
+    has even length, so the edges at even positions and those at odd
+    positions are two halves with equal degrees."""
+    # Each vertex's edges in reverse order, so that pop() takes the first
+    # edge not yet walked once the used ones on top are dropped.
+    left: list[list[int]] = [[] for _ in range(nside)]
+    right: list[list[int]] = [[] for _ in range(nside)]
+    for k in reversed(edge_ids):
+        left[eu[k]].append(k)
+        right[ev[k]].append(k)
     used = bytearray(len(eu))
-    ptr = [0] * (2 * nside)
-    half_a, half_b = [], []
+    trails = []
+    append = trails.append
     for k0 in edge_ids:
         if used[k0]:
             continue
-        # Walk a closed trail starting from this edge's left endpoint.
-        # All degrees are even, so the walk can only get stuck back at
-        # the start, and bipartiteness makes its length even.
-        pos = eu[k0]
-        side = 0
+        # Walk a closed trail from this edge's left endpoint, two edges
+        # a step.  All degrees are even, so the walk leaves every right
+        # vertex it enters and can only get stuck back at the start.
+        lst = left[eu[k0]]
         while True:
-            lst = adj[pos]
-            i = ptr[pos]
-            while i < len(lst) and used[lst[i]]:
-                i += 1
-            ptr[pos] = i
-            if i == len(lst):
+            while lst and used[lst[-1]]:
+                lst.pop()
+            if not lst:
                 break
-            k = lst[i]
+            k = lst.pop()
             used[k] = 1
-            (half_a if side == 0 else half_b).append(k)
-            side ^= 1
-            pos = nside + ev[k] if pos < nside else eu[k]
-    return half_a, half_b
+            append(k)
+            lst = right[ev[k]]
+            while used[lst[-1]]:
+                lst.pop()
+            k = lst.pop()
+            used[k] = 1
+            append(k)
+            lst = left[eu[k]]
+    return trails
 
 
 def _perfect_matching(eu, ev, nside, edge_ids):
-    """Perfect matching in a regular bipartite multigraph, as a set of
-    edge ids, via Hopcroft-Karp."""
+    """Perfect matching in a regular bipartite multigraph, as the edge id
+    matched at each left vertex, via Hopcroft-Karp."""
     adj: list[list[int]] = [[] for _ in range(nside)]
     for k in edge_ids:
         adj[eu[k]].append(k)
@@ -231,10 +233,9 @@ def _perfect_matching(eu, ev, nside, edge_ids):
                     stack.pop()
                     if path:
                         path.pop()
-    matched = {k for k in match_l if k != -1}
-    if len(matched) != nside:
+    if -1 in match_l:
         raise AssertionError("regular bipartite graph must have a perfect matching")
-    return matched
+    return match_l
 
 
 def graph_of_matrix(matrix) -> BipartiteGraph:

@@ -16,6 +16,7 @@ over n-wire registers.  Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .circuit_ir import CNOT, TOFFOLI, Circuit, CircuitError
 from .edgecolor import color_edges, graph_of_matrix
@@ -75,10 +76,8 @@ def synth_linear(circuit: Circuit, matrix: BinMatrix, src: RegisterRef,
     if layers is None:
         layers = linear_layers(matrix)
     sw, dw = src.wires, dst.wires
-    gates = []
-    for layer in layers:
-        gates.extend((CNOT, sw[i], dw[j]) for i, j in layer)
-    circuit.extend_raw(gates)
+    circuit.extend_raw([(CNOT, sw[i], dw[j])
+                        for layer in layers for i, j in layer])
 
 
 def synth_add_inplace(circuit: Circuit, src: RegisterRef, dst: RegisterRef):
@@ -104,13 +103,12 @@ def mult_gates(field: IrreduciblePoly, a: RegisterRef, b: RegisterRef,
     exps = [e for e in field.support if 0 < e < n]
     view = list(b.wires)
     gates = []
-    for i in range(n):
+    for i, ai in enumerate(a.wires):
         if i:
             top = view[-1]
             gates.extend((CNOT, top, view[e - 1]) for e in exps)
             view = [top] + view[:-1]
-        ai = a.wires[i]
-        gates.extend((TOFFOLI, ai, view[j], acc.wires[j]) for j in range(n))
+        gates.extend(zip(repeat(TOFFOLI, n), repeat(ai, n), view, acc.wires))
     for _ in range(n - 1):
         top = view[0]
         view = view[1:] + [top]

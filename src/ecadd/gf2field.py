@@ -421,20 +421,21 @@ def _wrap(value: int, field: IrreduciblePoly) -> FieldElem:
 def solve_quadratic(c: FieldElem) -> Optional[FieldElem]:
     """A solution z of z^2 + z = c, or None when none exists (trace 1).
 
-    Every n solves the linear system of z -> z^2 + z by the Gauss-Jordan
-    rows kept on the field, which give the root with bit 0 clear (the
-    other root is z + 1).  For odd n, Tr 1 = 1, so the two roots differ
-    in trace; the one of trace 0 is returned, which is the half-trace
-    of c."""
+    A root exists exactly when Tr c = 0.  Every n then solves the linear
+    system of z -> z^2 + z by the Gauss-Jordan rows kept on the field,
+    which give the root with bit 0 clear (the other root is z + 1).  For
+    odd n, Tr 1 = 1, so the two roots differ in trace; the one of trace
+    0 is returned, which is the half-trace of c."""
     field = c.field
+    trace_mask = field._trace_mask
+    if (c.value & trace_mask).bit_count() & 1:
+        return None
     rest = c.value
     z = 0
     for pivot, image, pre in field._quadratic_solver:
         if rest >> pivot & 1:
             rest ^= image
             z ^= pre
-    if rest:
-        return None
-    if field.n & 1 and (z & field._trace_mask).bit_count() & 1:
+    if field.n & 1 and (z & trace_mask).bit_count() & 1:
         z ^= 1
     return _wrap(z, field)

@@ -19,9 +19,11 @@ Gate lines: ``tof t`` (NOT), ``tof c t`` (CNOT), ``tof c1 c2 t``
 name inside the main block invokes a previously defined subcircuit.
 Lines use LF endings; ``#`` starts a comment.
 
-The writer renders each group of a circuit as a named subcircuit.  Group labels repeat (e.g. several squaring blocks), so
-definition names are made unique with ``_2``, ``_3``, ... suffixes while
-preserving the first occurrence verbatim.
+The writer renders each group of a circuit as a named subcircuit.  Group
+labels repeat (e.g. several squaring blocks), so a name already taken
+gets the first free ``_2``, ``_3``, ... suffix, while the first
+occurrence keeps its name verbatim.  Each Toffoli line, one line or the
+15 of its Clifford+T template, is one compiled f-string.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .circuit_ir import (
     T,
     T_DAGGER,
     TOFFOLI,
-    TOFFOLI_TEMPLATE,
     Circuit,
 )
 
@@ -67,14 +68,19 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # Line prefix of each one-wire gate kind (NOT is ``tof`` with one wire).
 _ONE_WIRE_PREFIX = {NOT: "tof ",
                     **{k: f"{v} " for k, v in _ONE_WIRE_NAMES.items()}}
-# A Toffoli as one line, and as the 15 lines of its Clifford+T template;
-# fields 0 and 1 are the controls, field 2 the target.
-_TOFFOLI_LINE = "tof {0} {1} {2}"
-_TOFFOLI_CLIFFORD_T = "\n".join(
-    f"tof {{{e[1]}}} {{{e[2]}}}" if e[0] == CNOT
-    else f"{_ONE_WIRE_NAMES[e[0]]} {{{e[1]}}}"
-    for e in TOFFOLI_TEMPLATE
-)
+
+
+# A Toffoli on controls a, b and target c, as one line and as the 15
+# lines of its Clifford+T template (``circuit_ir.TOFFOLI_TEMPLATE``,
+# written out so that each is one compiled f-string).
+def _toffoli_line(a: str, b: str, c: str) -> str:
+    return f"tof {a} {b} {c}"
+
+
+def _toffoli_clifford_t(a: str, b: str, c: str) -> str:
+    return (f"T {a}\nT {b}\nH {c}\ntof {c} {a}\nT* {a}\nT {c}\n"
+            f"tof {b} {a}\nT {a}\ntof {c} {b}\ntof {c} {a}\nT* {b}\n"
+            f"T* {a}\ntof {c} {b}\ntof {b} {a}\nH {c}")
 
 
 def _sanitize(label: str) -> str:
@@ -114,7 +120,7 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> str:
     the same text as writing ``decompose_toffoli(circuit)``.
     """
     names = circuit.wires
-    toffoli = (_TOFFOLI_CLIFFORD_T if clifford_t else _TOFFOLI_LINE).format
+    toffoli = _toffoli_clifford_t if clifford_t else _toffoli_line
     gates = iter(circuit.gate_tuples())
     parts = [
         ".v " + " ".join(names),
@@ -123,12 +129,15 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> str:
         "",
     ]
     main = ["BEGIN"]
-    used: dict[str, int] = {}
+    taken: set[str] = set()
     pos = 0
     for grp in circuit.groups:
         base = _sanitize(grp.label)
-        used[base] = used.get(base, 0) + 1
-        name = base if used[base] == 1 else f"{base}_{used[base]}"
+        name, k = base, 2
+        while name in taken:
+            name = f"{base}_{k}"
+            k += 1
+        taken.add(name)
         if grp.start > pos:
             main.append(_render(gates, grp.start - pos, names, toffoli))
         parts.append(f"BEGIN {name}")

@@ -378,13 +378,17 @@ def ref_write_qc(circuit: Circuit) -> str:
 
     gates = circuit.gate_tuples()
     spans = []  # (start, end, unique_name)
-    used: dict[str, int] = {}
+    taken: set[str] = set()
     for grp in circuit.groups:
         base = re.sub(r"[^A-Za-z0-9_]", "_", grp.label)
         if not base or not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", base):
             base = "G_" + base
-        used[base] = used.get(base, 0) + 1
-        name = base if used[base] == 1 else f"{base}_{used[base]}"
+        # A name already taken gets the smallest free suffix from _2 on.
+        name, k = base, 2
+        while name in taken:
+            name = f"{base}_{k}"
+            k += 1
+        taken.add(name)
         spans.append((grp.start, grp.end, name))
         lines.append(f"BEGIN {name}")
         for g in gates[grp.start:grp.end]:

@@ -33,6 +33,20 @@ def test_traced_decompose_job(tmp_path):
     assert "T* " in qc.read_text()
 
 
+def test_traced_synth_job_counts_the_bytes_written(tmp_path):
+    qc = tmp_path / "a.qc"
+    argv = ["synth", "--poly", "1+x+x^3", "--a2", "0x1", "--a6", "0x1",
+            "--x2", "0x2", "--y2", "0x5", "--out", str(qc)]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "job.py"), str(ROOT / "src"), "1"]
+        + argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    assert result["trace"]["counts"]["qcformat.bytes"] == qc.stat().st_size
+    assert "T* " not in qc.read_text()
+
+
 def test_traced_verify_job():
     argv = ["verify", "--poly", "1+x+x^7", "--a2", "0x1", "--a6", "0x1",
             "--x2", "0x0", "--y2", "0x1", "--samples", "50"]

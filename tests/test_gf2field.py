@@ -195,7 +195,8 @@ class TestFieldElem:
         assert sum(traces) == 32  # exactly half the elements have trace 1
 
     @pytest.mark.parametrize("poly", ["1+x^2+x^5", "1+x+x^7", "1+x^3+x^17",
-                                      "1+x+x^2+x^5+x^19", "1+x^74+x^233"])
+                                      "1+x+x^2+x^5+x^19", "1+x^3+x^6+x^7+x^163",
+                                      "1+x^74+x^233", "1+x^2+x^5+x^10+x^571"])
     def test_half_trace_matches_squaring_loop(self, poly, rng):
         # For odd n, the root solve_quadratic gives is the half-trace.
         fld = IrreduciblePoly.from_string(poly)

@@ -10,9 +10,15 @@ from conftest import random_classical_circuit, ref_write_qc
 from ecadd.circuit_ir import (
     ARITY,
     CNOT,
+    H,
     KIND_NAMES,
     NOT,
+    S,
+    S_DAGGER,
+    T,
+    T_DAGGER,
     TOFFOLI,
+    TOFFOLI_TEMPLATE,
     Circuit,
     decompose_toffoli,
     metrics,
@@ -26,6 +32,7 @@ from ecadd.qcformat import (
 from ecadd.revsim import Simulator
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ONE_WIRE_TOKENS = {H: "H", T: "T", T_DAGGER: "T*", S: "S", S_DAGGER: "S*"}
 
 
 def small_circuit():
@@ -42,8 +49,9 @@ def small_circuit():
 @st.composite
 def writer_circuits(draw):
     """A random circuit over all eight gate kinds, with empty groups (a
-    trailing one included), gates outside any group and repeated labels,
-    optionally with a permuted output."""
+    trailing one included), gates outside any group, repeated labels and
+    labels that look like a repeated label's suffixed name, optionally
+    with a permuted output."""
     width = draw(st.integers(1, 5))
     c = Circuit()
     for i in range(width):
@@ -59,7 +67,8 @@ def writer_circuits(draw):
         if draw(st.booleans()):
             gate()
         else:
-            with c.group(draw(st.sampled_from(("S", "M", "IM", "a-2")))):
+            labels = ("S", "M", "IM", "a-2", "S_2", "a_2", "S_3")
+            with c.group(draw(st.sampled_from(labels))):
                 for _ in range(draw(st.integers(0, 4))):
                     gate()
     if draw(st.booleans()):
@@ -109,6 +118,38 @@ class TestWriter:
         text = write_qc(c)
         for name in ("BEGIN S", "BEGIN S_2", "BEGIN S_3"):
             assert name in text.splitlines()
+
+    def test_suffixed_label_after_repeats_round_trips(self):
+        # Labels A, A, A_2: the second A takes A_2, so the label A_2
+        # takes its own first free suffix, A_2_2, rather than defining
+        # A_2 again.
+        c = Circuit()
+        c.add_wire("a")
+        for label in ("A", "A", "A_2"):
+            with c.group(label):
+                c.append(NOT, 0)
+        text = write_qc(c)
+        begins = [ln for ln in text.splitlines() if ln.startswith("BEGIN ")]
+        assert begins == ["BEGIN A", "BEGIN A_2", "BEGIN A_2_2"]
+        back = parse_qc(text)
+        assert [g.label for g in back.groups] == ["A", "A_2", "A_2_2"]
+        assert back.gate_tuples() == c.gate_tuples()
+
+    def test_clifford_t_toffoli_is_the_template(self):
+        c = Circuit()
+        for nm in ("a", "b", "c"):
+            c.add_wire(nm)
+        c.append(TOFFOLI, 0, 1, 2)
+        roles = "abc"
+        expected = [
+            f"tof {roles[e[1]]} {roles[e[2]]}" if e[0] == CNOT
+            else f"{ONE_WIRE_TOKENS[e[0]]} {roles[e[1]]}"
+            for e in TOFFOLI_TEMPLATE
+        ]
+        lines = write_qc(c, clifford_t=True).splitlines()
+        body = lines[lines.index("BEGIN") + 1:lines.index("END")]
+        assert len(expected) == 15
+        assert body == expected
 
     def test_empty_group_still_emitted(self):
         c = Circuit()
