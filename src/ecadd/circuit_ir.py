@@ -156,7 +156,7 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
 
     Group spans are remapped so labeled blocks still cover the same
     logical gates.  ``qcformat.write_qc(circuit, clifford_t=True)``
-    writes the text of this circuit without building it.
+    returns the .qc bytes of this circuit without building it.
     """
     out = Circuit()
     for name in circuit.wires:

@@ -118,12 +118,12 @@ def report_to_json(job: JobSpec, report) -> dict:
     }
 
 
-def _write_file(path: str, text: str):
-    """Write ``text`` to ``path``; a path that cannot be written to is a
+def _write_file(path: str, data: bytes):
+    """Write ``data`` to ``path``; a path that cannot be written to is a
     validation error."""
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -146,7 +146,8 @@ def cmd_synth(args) -> int:
     report_path = base + ".report.json"
     _write_file(qc_path, write_qc(circuit, clifford_t=args.decompose))
     _write_file(report_path,
-                json.dumps(report_to_json(job, report), indent=2) + "\n")
+                (json.dumps(report_to_json(job, report), indent=2)
+                 + "\n").encode())
     print(f"wrote {qc_path} and {report_path}")
     return EXIT_OK
 
@@ -180,8 +181,9 @@ def cmd_tables(args) -> int:
     rows = tables_rows(args.kind)
     sys.stdout.write(format_table(args.kind, rows))
     if args.json:
-        _write_file(args.json, json.dumps(
-            {"schema": 1, "kind": args.kind, "rows": rows}, indent=2) + "\n")
+        _write_file(args.json, (json.dumps(
+            {"schema": 1, "kind": args.kind, "rows": rows}, indent=2)
+            + "\n").encode())
     return EXIT_OK
 
 

@@ -68,16 +68,19 @@ def linear_layers(matrix: BinMatrix) -> list[list[tuple[int, int]]]:
 
 
 def synth_linear(circuit: Circuit, matrix: BinMatrix, src: RegisterRef,
-                 dst: RegisterRef, layers=None):
-    """Append ``dst ^= M * src`` (weight(M) CNOTs, depth max_degree(M))."""
+                 dst: RegisterRef, layers=None) -> list[tuple]:
+    """Append ``dst ^= M * src`` (weight(M) CNOTs, depth max_degree(M))
+    and return the emitted gate list.  Its CNOTs commute and src and dst
+    are disjoint, so a caller may replay the list to undo the block."""
     if matrix.n != src.n or matrix.n != dst.n:
         raise CircuitError("matrix dimension does not match register width")
     _require_disjoint(src, dst)
     if layers is None:
         layers = linear_layers(matrix)
     sw, dw = src.wires, dst.wires
-    circuit.extend_raw([(CNOT, sw[i], dw[j])
-                        for layer in layers for i, j in layer])
+    gates = [(CNOT, sw[i], dw[j]) for layer in layers for i, j in layer]
+    circuit.extend_raw(gates)
+    return gates
 
 
 def synth_add_inplace(circuit: Circuit, src: RegisterRef, dst: RegisterRef):

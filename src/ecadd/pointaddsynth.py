@@ -98,10 +98,17 @@ def multiplier_report(field: IrreduciblePoly) -> ResourceReport:
     return metrics(standalone_multiplier(field))
 
 
-def _linear_block(circuit, label, matrix, src, dst, layers):
-    """Emit one labeled linear block (an empty group for a zero matrix)."""
+def _linear_block(circuit, label, matrix, src, dst, layers) -> list[tuple]:
+    """Emit one labeled linear block (an empty group for a zero matrix)
+    and return its gates."""
     with circuit.group(label):
-        synth_linear(circuit, matrix, src, dst, layers)
+        return synth_linear(circuit, matrix, src, dst, layers)
+
+
+def _replay(circuit, label, gates):
+    """Emit a labeled block of the given gates (the same tuples)."""
+    with circuit.group(label):
+        circuit.extend_raw(gates)
 
 
 def synth_point_add(curve: Curve, p2: AffinePoint, *,
@@ -114,6 +121,12 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     write it at the Clifford+T level,
     ``qcformat.write_qc(circuit, clifford_t=True)`` expands each Toffoli
     as it writes it.
+
+    Each reversal block replays the gate list of its forward block: IM
+    replays the step-7 product reversed, and ISM, IX, IS and Ia2 replay
+    SM, X, S and a2 as they are, since a linear block's CNOTs commute
+    and it is its own inverse.  The replayed blocks share the forward
+    blocks' tuples.
     """
     if p2.is_infinity:
         raise SynthesisError("the fixed point P2 must be affine (not O)")
@@ -149,19 +162,19 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     rz3p, ry3 = regs["Z3p"], regs["Y3"]
 
     # 1: Y1 <- A = Y1 + y2 * Z1^2
-    _linear_block(c, "SM", m_sm, rz1, ry1, lay_sm)
+    sm_gates = _linear_block(c, "SM", m_sm, rz1, ry1, lay_sm)
     # 2: X1 <- B = X1 + x2 * Z1
-    _linear_block(c, "X", m_x2, rz1, rx1, lay_x2)
+    xz1_gates = _linear_block(c, "X", m_x2, rz1, rx1, lay_x2)
     # 3: C <- B * Z1
     with c.group("M"):
         synth_mult(c, fld, rx1, rz1, rc)
     # 4: Z3 <- C^2, X3 <- A^2, Bsq <- B^2
     _linear_block(c, "S", m_sq, rc, rz3, lay_sq)
     _linear_block(c, "S", m_sq, ry1, rx3, lay_sq)
-    _linear_block(c, "S", m_sq, rx1, rbsq, lay_sq)
+    sb_gates = _linear_block(c, "S", m_sq, rx1, rbsq, lay_sq)
     # 5: Bsq += a2 * C;  D <- x2 * Z3
-    _linear_block(c, "a2", m_a2, rc, rbsq, lay_a2)
-    _linear_block(c, "X", m_x2, rz3, rd, lay_x2)
+    a2_gates = _linear_block(c, "a2", m_a2, rc, rbsq, lay_a2)
+    xz3_gates = _linear_block(c, "X", m_x2, rz3, rd, lay_x2)
     # 6: Bsq += A;  Cp <- C;  Z3p <- Z3
     synth_add_inplace(c, ry1, rbsq)
     synth_add_inplace(c, rc, rcp)
@@ -180,23 +193,22 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     # 10: D += X3  (restores D = x2 * Z3)
     synth_add_inplace(c, rx3, rd)
     # 11: uncompute Z3p += A * Cp
-    with c.group("IM"):
-        c.extend_raw(reversed(acp_gates))
+    _replay(c, "IM", reversed(acp_gates))
     # 12: reverse step 6
     synth_add_inplace(c, ry1, rbsq)
     synth_add_inplace(c, rc, rcp)
     synth_add_inplace(c, rz3, rz3p)
     # 13: reverse step 5
-    _linear_block(c, "IX", m_x2, rz3, rd, lay_x2)
-    _linear_block(c, "Ia2", m_a2, rc, rbsq, lay_a2)
+    _replay(c, "IX", xz3_gates)
+    _replay(c, "Ia2", a2_gates)
     # 14: reverse the B squaring; C += sqrt(Z3) clears C.
     # (The A^2 share of step 4 is part of the output X3 and must stay.)
-    _linear_block(c, "IS", m_sq, rx1, rbsq, lay_sq)
+    _replay(c, "IS", sb_gates)
     _linear_block(c, "SR", m_sqrt, rz3, rc, lay_sqrt)
     # 15: reverse step 2
-    _linear_block(c, "IX", m_x2, rz1, rx1, lay_x2)
+    _replay(c, "IX", xz1_gates)
     # 16: reverse step 1
-    _linear_block(c, "ISM", m_sm, rz1, ry1, lay_sm)
+    _replay(c, "ISM", sm_gates)
 
     report = metrics(c)
     g_s = m_sq.weight

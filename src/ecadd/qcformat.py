@@ -23,13 +23,15 @@ The writer renders each group of a circuit as a named subcircuit.  Group
 labels repeat (e.g. several squaring blocks), so a name already taken
 gets the first free ``_2``, ``_3``, ... suffix, while the first
 occurrence keeps its name verbatim.  Each Toffoli line, one line or the
-15 of its Clifford+T template, is one compiled f-string.
+15 of its Clifford+T template, is one compiled f-string.  ``write_qc``
+returns the file's bytes, rendered a slice of gates at a time into one
+buffer, so the text is held once; ``parse_qc`` takes the decoded text.
 """
 
 from __future__ import annotations
 
+import io
 import re
-from itertools import islice
 
 from .circuit_ir import (
     CNOT,
@@ -65,6 +67,10 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # Writing
 # ----------------------------------------------------------------------
 
+# Gates rendered and encoded per slice: besides the file's bytes, the
+# writer holds the text of at most this many gates.
+SLICE_GATES = 2048
+
 # Line prefix of each one-wire gate kind (NOT is ``tof`` with one wire).
 _ONE_WIRE_PREFIX = {NOT: "tof ",
                     **{k: f"{v} " for k, v in _ONE_WIRE_NAMES.items()}}
@@ -90,47 +96,54 @@ def _sanitize(label: str) -> str:
     return s
 
 
-def _render(gates, count: int, names, toffoli) -> str:
-    """The next ``count`` gates of the iterator ``gates`` as LF-joined
-    lines; ``toffoli`` formats a Toffoli from its three wire names."""
-    lines = []
-    append = lines.append
+def _write_span(out, gates, start: int, end: int, names, toffoli):
+    """Write ``gates[start:end]`` into ``out`` as lines ending in LF,
+    rendered and encoded SLICE_GATES at a time; ``toffoli`` formats a
+    Toffoli from its three wire names."""
     prefix = _ONE_WIRE_PREFIX
-    for g in islice(gates, count):
-        k = g[0]
-        if k == CNOT:
-            _, a, b = g
-            append(f"tof {names[a]} {names[b]}")
-        elif k == TOFFOLI:
-            _, a, b, c = g
-            append(toffoli(names[a], names[b], names[c]))
-        else:
-            _, a = g
-            append(prefix[k] + names[a])
-    return "\n".join(lines)
+    for s in range(start, end, SLICE_GATES):
+        lines = []
+        append = lines.append
+        for g in gates[s:min(s + SLICE_GATES, end)]:
+            k = g[0]
+            if k == CNOT:
+                _, a, b = g
+                append(f"tof {names[a]} {names[b]}")
+            elif k == TOFFOLI:
+                _, a, b, c = g
+                append(toffoli(names[a], names[b], names[c]))
+            else:
+                _, a = g
+                append(prefix[k] + names[a])
+        append("")
+        out.write("\n".join(lines).encode())
 
 
-def write_qc(circuit: Circuit, clifford_t: bool = False) -> str:
-    """Render a circuit as .qc text (deterministic).
+def write_qc(circuit: Circuit, clifford_t: bool = False) -> bytes:
+    """Render a circuit as the bytes of a .qc file (deterministic).
 
-    The text is built a block at a time: one string per group and per
-    run of gates between groups, joined once at the end.  With
-    ``clifford_t`` each Toffoli is written as its 15-gate Clifford+T
-    template (``circuit_ir.TOFFOLI_TEMPLATE``) as it is rendered, giving
-    the same text as writing ``decompose_toffoli(circuit)``.
+    The file is written into one buffer, whose bytes are returned
+    without a copy: the header, each group as a named subcircuit, then
+    the main block, whose runs of gates between groups are taken in a
+    second pass over the group positions.  Gates are rendered and
+    encoded SLICE_GATES at a time, so no other copy of the text is
+    held.  With ``clifford_t`` each Toffoli is written as its 15-gate
+    Clifford+T template (``circuit_ir.TOFFOLI_TEMPLATE``) as it is
+    rendered, giving the same bytes as writing
+    ``decompose_toffoli(circuit)``.
     """
     names = circuit.wires
     toffoli = _toffoli_clifford_t if clifford_t else _toffoli_line
-    gates = iter(circuit.gate_tuples())
-    parts = [
+    gates = circuit.gate_tuples()
+    out = io.BytesIO()
+    out.write("\n".join((
         ".v " + " ".join(names),
         ".i " + " ".join(names),
         ".o " + " ".join(names[p] for p in circuit.out_permutation),
-        "",
-    ]
-    main = ["BEGIN"]
+        "", "",
+    )).encode())
+    blocks = []
     taken: set[str] = set()
-    pos = 0
     for grp in circuit.groups:
         base = _sanitize(grp.label)
         name, k = base, 2
@@ -138,19 +151,19 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> str:
             name = f"{base}_{k}"
             k += 1
         taken.add(name)
-        if grp.start > pos:
-            main.append(_render(gates, grp.start - pos, names, toffoli))
-        parts.append(f"BEGIN {name}")
-        if grp.end > grp.start:
-            parts.append(_render(gates, grp.end - grp.start, names, toffoli))
-        parts.append(f"END {name}\n")
-        main.append(name)
+        blocks.append(name)
+        out.write(f"BEGIN {name}\n".encode())
+        _write_span(out, gates, grp.start, grp.end, names, toffoli)
+        out.write(f"END {name}\n\n".encode())
+    out.write(b"BEGIN\n")
+    pos = 0
+    for grp, name in zip(circuit.groups, blocks):
+        _write_span(out, gates, pos, grp.start, names, toffoli)
+        out.write(f"{name}\n".encode())
         pos = grp.end
-    if circuit.num_gates > pos:
-        main.append(_render(gates, circuit.num_gates - pos, names, toffoli))
-    main.append("END\n")
-    parts += main
-    return "\n".join(parts)
+    _write_span(out, gates, pos, len(gates), names, toffoli)
+    out.write(b"END\n")
+    return out.getvalue()
 
 
 # ----------------------------------------------------------------------

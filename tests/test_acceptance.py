@@ -358,7 +358,7 @@ def test_criterion_11_qc_round_trip():
     rng = random.Random(1111)
     for _ in range(1000):
         c = random_classical_circuit(rng)
-        back = parse_qc(write_qc(c))
+        back = parse_qc(write_qc(c).decode())
         mc, mb = metrics(c), metrics(back)
         assert (mc.counts, mc.depth, mc.width) == (mb.counts, mb.depth,
                                                    mb.width)
@@ -373,7 +373,7 @@ def test_criterion_11_qc_round_trip():
     circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
     golden = (pathlib.Path(__file__).parent / "golden"
               / "toy_point_add.qc").read_text()
-    stable = write_qc(circ) == golden
+    stable = write_qc(circ) == golden.encode()
     verdict(11, stable, "1000 random circuits round-trip; toy golden file "
                         "byte-stable" if stable else "golden file drifted")
     assert stable

@@ -211,7 +211,7 @@ class TestMetrics:
         # has no Toffoli; its T figures are the gate-level ones of the
         # reference, and the block-accounted figures bound them.
         r = metrics(c)
-        expanded = parse_qc(write_qc(c, clifford_t=True))
+        expanded = parse_qc(write_qc(c, clifford_t=True).decode())
         e = metrics(expanded)
         (depth, t_depth, _, _), _ = ref_metrics(expanded)
         kinds = Counter(g[0] for g in expanded.gate_tuples())

@@ -100,11 +100,40 @@ class TestToyStructure:
     def test_decompose_option_expands_toffolis(self):
         curve, p2 = toy_job()
         circ, report = synth_point_add(curve, p2, allow_off_curve=True)
-        m = metrics(parse_qc(write_qc(circ, clifford_t=True)))
+        m = metrics(parse_qc(write_qc(circ, clifford_t=True).decode()))
         assert m.toffoli_count == 0
         assert m.t_count == 35
         # The report describes the Toffoli-level circuit.
         assert report.toffoli_count == 5
+
+
+class TestReversalBlocks:
+    # (reversal, forward) group indices in the block order above: ISM
+    # undoes SM, the IX blocks of steps 15 and 13 the X blocks of steps
+    # 2 and 5, IS the B squaring and Ia2 the a2 block.
+    PAIRS = ((18, 0), (17, 1), (13, 7), (15, 5), (14, 6))
+
+    @staticmethod
+    def n8_job():
+        # a2 not in {0, 1}, and x2, y2 and x2 + y2 nonzero, so that no
+        # block of a pair is empty.
+        fld = first_irreducible(8)
+        curve = Curve(fld.elem(0b1011), fld.elem(1))
+        p2 = next(p for p in all_affine_points(curve)
+                  if p.x.value and p.y.value and p.x != p.y)
+        return curve, p2
+
+    @pytest.mark.parametrize("job", ["toy", "n8"])
+    def test_reversals_replay_the_forward_tuples(self, job):
+        curve, p2 = toy_job() if job == "toy" else self.n8_job()
+        circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
+        gates, groups = circ.gate_tuples(), circ.groups
+        for rev, fwd in self.PAIRS:
+            r, f = groups[rev], groups[fwd]
+            assert r.label == "I" + f.label
+            assert r.end - r.start == f.end - f.start > 0, r.label
+            assert all(a is b for a, b in zip(gates[r.start:r.end],
+                                              gates[f.start:f.end])), r.label
 
 
 class TestA2Block:

@@ -1,6 +1,7 @@
 """.qc text format: deterministic writing, parsing, and round trips."""
 
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from ecadd.circuit_ir import (
     metrics,
 )
 from ecadd.qcformat import (
+    SLICE_GATES,
     QcSemanticError,
     QcSyntaxError,
     parse_qc,
@@ -83,11 +85,12 @@ class TestWriter:
     @settings(max_examples=300, deadline=None)
     @given(writer_circuits())
     def test_matches_reference_writer(self, c):
-        assert write_qc(c) == ref_write_qc(c)
-        assert write_qc(c, clifford_t=True) == ref_write_qc(decompose_toffoli(c))
+        assert write_qc(c) == ref_write_qc(c).encode()
+        assert write_qc(c, clifford_t=True) == \
+            ref_write_qc(decompose_toffoli(c)).encode()
 
     def test_gate_lines_and_headers(self):
-        text = write_qc(small_circuit())
+        text = write_qc(small_circuit()).decode()
         lines = text.splitlines()
         assert lines[0] == ".v a b c"
         assert lines[1] == ".i a b c"
@@ -104,7 +107,7 @@ class TestWriter:
         c.add_wire("q")
         for kind, token in ((3, "H"), (4, "T"), (5, "T*"), (6, "S"), (7, "S*")):
             c.append(kind, 0)
-        text = write_qc(c)
+        text = write_qc(c).decode()
         for token in ("H q", "T q", "T* q", "S q", "S* q"):
             assert token in text.splitlines()
 
@@ -115,7 +118,7 @@ class TestWriter:
         for _ in range(3):
             with c.group("S"):
                 c.append(CNOT, 0, 1)
-        text = write_qc(c)
+        text = write_qc(c).decode()
         for name in ("BEGIN S", "BEGIN S_2", "BEGIN S_3"):
             assert name in text.splitlines()
 
@@ -128,7 +131,7 @@ class TestWriter:
         for label in ("A", "A", "A_2"):
             with c.group(label):
                 c.append(NOT, 0)
-        text = write_qc(c)
+        text = write_qc(c).decode()
         begins = [ln for ln in text.splitlines() if ln.startswith("BEGIN ")]
         assert begins == ["BEGIN A", "BEGIN A_2", "BEGIN A_2_2"]
         back = parse_qc(text)
@@ -146,7 +149,7 @@ class TestWriter:
             else f"{ONE_WIRE_TOKENS[e[0]]} {roles[e[1]]}"
             for e in TOFFOLI_TEMPLATE
         ]
-        lines = write_qc(c, clifford_t=True).splitlines()
+        lines = write_qc(c, clifford_t=True).decode().splitlines()
         body = lines[lines.index("BEGIN") + 1:lines.index("END")]
         assert len(expected) == 15
         assert body == expected
@@ -157,7 +160,7 @@ class TestWriter:
         with c.group("xyZ"):
             pass
         c.append(NOT, 0)
-        text = write_qc(c)
+        text = write_qc(c).decode()
         lines = text.splitlines()
         assert "BEGIN xyZ" in lines and "END xyZ" in lines
         main = lines[lines.index("BEGIN"):]
@@ -173,14 +176,79 @@ class TestWriter:
         c.add_wire("a")
         with c.group("a-2 block!"):
             c.append(NOT, 0)
-        text = write_qc(c)
+        text = write_qc(c).decode()
         assert "BEGIN a_2_block_" in text
+
+
+# Run lengths at the writer's slice boundaries: none, one gate, one
+# short of a slice, a slice, one past it, and three slices and one gate.
+SLICE_RUNS = (0, 1, SLICE_GATES - 1, SLICE_GATES, SLICE_GATES + 1,
+              3 * SLICE_GATES + 1)
+
+
+def append_run(c: Circuit, count: int, start: int):
+    """Append ``count`` gates cycling through the eight kinds, on wires
+    that rotate with the gate index ``start + i``."""
+    width = c.width
+    for i in range(start, start + count):
+        kind = i % len(KIND_NAMES)
+        c.append(kind, *((i + r) % width for r in range(ARITY[kind])))
+
+
+def sliced_circuit(grouped: bool, runs) -> Circuit:
+    """Each run as a run of gates, followed when ``grouped`` by a group
+    of the same length."""
+    c = Circuit()
+    for i in range(5):
+        c.add_wire(f"w{i}")
+    done = 0
+    for count in runs:
+        append_run(c, count, done)
+        done += count
+        if grouped:
+            with c.group("B"):
+                append_run(c, count, done)
+            done += count
+    return c
+
+
+class TestSlices:
+    """The writer renders each span SLICE_GATES at a time; the text must
+    not depend on where the slices fall."""
+
+    @pytest.mark.parametrize("grouped, runs", [
+        (True, SLICE_RUNS),
+        *((False, (r,)) for r in SLICE_RUNS),
+    ])
+    def test_runs_across_slice_boundaries(self, grouped, runs):
+        c = sliced_circuit(grouped, runs)
+        assert write_qc(c) == ref_write_qc(c).encode()
+        assert write_qc(c, clifford_t=True) == \
+            ref_write_qc(decompose_toffoli(c)).encode()
+
+    def test_text_is_held_once(self):
+        # 40k Toffolis on 32 wires: about 12 MB of Clifford+T text.  The
+        # writer's traced peak is its one buffer plus a slice, not the
+        # text twice.
+        c = Circuit()
+        for i in range(32):
+            c.add_wire(f"register_{i:02d}")
+        c.extend_raw((TOFFOLI, i % 32, (i + 1) % 32, (i + 5) % 32)
+                     for i in range(40_000))
+        tracemalloc.start()
+        try:
+            data = write_qc(c, clifford_t=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) >= 10_000_000
+        assert peak <= 1.3 * len(data)
 
 
 class TestParser:
     def test_round_trip_small(self):
         c = small_circuit()
-        back = parse_qc(write_qc(c))
+        back = parse_qc(write_qc(c).decode())
         assert back.wires == c.wires
         assert metrics(back).counts == metrics(c).counts
         for s in range(8):
@@ -193,7 +261,7 @@ class TestParser:
                 perm = list(range(c.width))
                 rng.shuffle(perm)
                 c.out_permutation = perm
-            back = parse_qc(write_qc(c))
+            back = parse_qc(write_qc(c).decode())
             mc, mb = metrics(c), metrics(back)
             assert (mc.counts, mc.depth, mc.t_depth, mc.width) == \
                    (mb.counts, mb.depth, mb.t_depth, mb.width)
@@ -276,7 +344,7 @@ class TestGolden:
         p2 = AffinePoint(fld.elem(1), fld.elem(1))
         circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
         golden = (GOLDEN / "toy_point_add.qc").read_text()
-        assert write_qc(circ) == golden
+        assert write_qc(circ) == golden.encode()
 
     def test_golden_file_parses_and_has_block_labels(self):
         text = (GOLDEN / "toy_point_add.qc").read_text()
