@@ -81,7 +81,8 @@ class Group:
 
 
 class Circuit:
-    """A gate list over named wires, with labeled subcircuit spans."""
+    """A gate list over named wires, with labeled subcircuit spans; its
+    inputs and outputs are its wires, in wire order."""
 
     def __init__(self):
         self.wires: list[str] = []
@@ -89,7 +90,6 @@ class Circuit:
         self._gates: list[tuple] = []
         self.groups: list[Group] = []
         self._in_group = False
-        self.out_permutation: list[int] = []
 
     # -- wires ----------------------------------------------------------
 
@@ -99,7 +99,6 @@ class Circuit:
         wid = len(self.wires)
         self.wires.append(name)
         self._wire_names.add(name)
-        self.out_permutation.append(wid)
         return wid
 
     @property
@@ -180,7 +179,6 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
         Group(g.label, index_map[g.start], index_map[g.end])
         for g in circuit.groups
     ]
-    out.out_permutation = list(circuit.out_permutation)
     return out
 
 

@@ -57,7 +57,6 @@ class ValidationError(ValueError):
 
 @dataclass
 class JobSpec:
-    field: IrreduciblePoly
     curve: Curve
     p2: AffinePoint
 
@@ -97,16 +96,17 @@ def _job_from_args(args) -> JobSpec:
     except PointError as exc:
         raise ValidationError(str(exc)) from exc
     p2 = AffinePoint(elem("--x2", args.x2), elem("--y2", args.y2))
-    return JobSpec(fld, curve, p2)
+    return JobSpec(curve, p2)
 
 
 def report_to_json(job: JobSpec, report) -> dict:
     """Stable-ordered JSON payload for a synthesis report."""
-    mult = multiplier_report(job.field)
+    field = job.curve.field
+    mult = multiplier_report(field)
     return {
         "schema": 1,
-        "n": job.field.n,
-        "poly": str(job.field),
+        "n": field.n,
+        "poly": str(field),
         "multiplier_variant": "maslov_shift",
         **dataclasses.asdict(report),
         "prior_reference": {
@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     seed = _default_seed() if args.seed is None else args.seed
     job = _job_from_args(args)
-    if args.exhaustive and job.field.n > EXHAUSTIVE_MAX_N:
+    if args.exhaustive and job.curve.field.n > EXHAUSTIVE_MAX_N:
         raise ValidationError(
             f"exhaustive verification is limited to n <= {EXHAUSTIVE_MAX_N}")
     try:

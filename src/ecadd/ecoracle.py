@@ -185,39 +185,44 @@ def aldaoud_madd(curve: Curve, p1: LDPoint, p2: AffinePoint) -> LDPoint:
     return LDPoint(X3, Y3, Z3)
 
 
+def _y_at(curve: Curve, x: FieldElem) -> Optional[FieldElem]:
+    """A y with (x, y) on the curve, or None when there is none; the
+    points at x are then (x, y) and (x, y + x), one point when x = 0.
+
+    x = 0 gives y = sqrt(a6).  For x != 0, y = x z turns the curve
+    equation into z^2 + z = x + a2 + a6 / x^2, which has two roots z and
+    z + 1 or none: one quadratic solve."""
+    if x.value == 0:
+        return curve.a6.sqrt()
+    z = solve_quadratic(x + curve.a2 + curve.a6 / x.square())
+    return None if z is None else x * z
+
+
 def random_point(curve: Curve, rng) -> AffinePoint:
     """A uniformly random affine point (never O)."""
     field = curve.field
     n = field.n
     while True:
         x = field.elem(rng.getrandbits(n))
-        rhs = x.square() * x + curve.a2 * x.square() + curve.a6
-        if x.value == 0:
-            return AffinePoint(x, rhs.sqrt())
-        z = solve_quadratic(rhs / x.square())
-        if z is None:
+        y = _y_at(curve, x)
+        if y is None:
             continue
-        if rng.getrandbits(1):
-            z = z + field.one()
-        return AffinePoint(x, x * z)
+        if x.value and rng.getrandbits(1):
+            y = y + x
+        return AffinePoint(x, y)
 
 
 def all_affine_points(curve: Curve) -> list[AffinePoint]:
-    """Every affine point, in ascending (x, y) order (small fields only).
-
-    x = 0 gives the one point (0, sqrt(a6)).  For x != 0, y = x z turns
-    the curve equation into z^2 + z = x + a2 + a6 / x^2, which has two
-    roots z and z + 1 or none: one quadratic solve per x."""
+    """Every affine point, in ascending (x, y) order (small fields only)."""
     field = curve.field
     if field.n > EXHAUSTIVE_MAX_N:
         raise ValueError("exhaustive point enumeration limited to "
                          f"n <= {EXHAUSTIVE_MAX_N}")
-    out = [AffinePoint(field.zero(), curve.a6.sqrt())]
-    one = field.one()
-    for xv in range(1, 1 << field.n):
+    out = []
+    for xv in range(1 << field.n):
         x = field.elem(xv)
-        z = solve_quadratic(x + curve.a2 + curve.a6 / x.square())
-        if z is not None:
-            ys = sorted(((x * z).value, (x * (z + one)).value))
-            out += [AffinePoint(x, field.elem(y)) for y in ys]
+        y = _y_at(curve, x)
+        if y is not None:
+            ys = sorted({y.value, (y + x).value})
+            out += [AffinePoint(x, field.elem(v)) for v in ys]
     return out

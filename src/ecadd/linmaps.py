@@ -107,9 +107,7 @@ def matrix_of_sqrt(field: IrreduciblePoly) -> BinMatrix:
     """
     reduce = field.reduce
     n = field.n
-    odd = reduce(0b10)
-    for _ in range(n - 1):
-        odd = field.square(odd)
+    odd = FieldElem(reduce(0b10), field).sqrt().value
     cols = []
     for i in range(n):
         if i & 1:

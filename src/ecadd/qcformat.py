@@ -3,8 +3,8 @@
 Layout of a document::
 
     .v <wire names>
-    .i <input names>
-    .o <output names>
+    .i <wire names>
+    .o <wire names>
 
     BEGIN <NAME>
     <gate lines>
@@ -17,7 +17,9 @@ Layout of a document::
 Gate lines: ``tof t`` (NOT), ``tof c t`` (CNOT), ``tof c1 c2 t``
 (Toffoli), and single-wire ``H``, ``T``, ``T*``, ``S``, ``S*``.  A bare
 name inside the main block invokes a previously defined subcircuit.
-Lines use LF endings; ``#`` starts a comment.
+Lines use LF endings; ``#`` starts a comment.  A circuit's inputs and
+outputs are its wires in wire order, so ``.i`` and ``.o``, when present,
+repeat the ``.v`` names in ``.v`` order.
 
 The writer renders each group of a circuit as a named subcircuit.  Group
 labels repeat (e.g. several squaring blocks), so a name already taken
@@ -52,10 +54,6 @@ class QcSyntaxError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class QcSemanticError(ValueError):
-    """Well-formed .qc text with inconsistent content."""
 
 
 _ONE_WIRE = {"H": H, "T": T, "T*": T_DAGGER, "S": S, "S*": S_DAGGER}
@@ -136,12 +134,8 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> bytes:
     toffoli = _toffoli_clifford_t if clifford_t else _toffoli_line
     gates = circuit.gate_tuples()
     out = io.BytesIO()
-    out.write("\n".join((
-        ".v " + " ".join(names),
-        ".i " + " ".join(names),
-        ".o " + " ".join(names[p] for p in circuit.out_permutation),
-        "", "",
-    )).encode())
+    joined = " ".join(names)
+    out.write(f".v {joined}\n.i {joined}\n.o {joined}\n\n".encode())
     blocks = []
     taken: set[str] = set()
     for grp in circuit.groups:
@@ -195,12 +189,12 @@ def parse_qc(text: str) -> Circuit:
     """Parse .qc text into a circuit, in which each subcircuit invocation
     is a labeled group of the subcircuit's gates.
 
-    Raises QcSyntaxError with a line number on malformed input, and
-    QcSemanticError when ``.o`` is not a permutation of ``.v``.
+    Raises QcSyntaxError with a line number on malformed input, which
+    includes an ``.i`` or ``.o`` line that does not list the ``.v`` names
+    in ``.v`` order.
     """
     circuit = Circuit()
     wire_ids: dict[str, int] | None = None  # None until the .v line
-    outputs: tuple[str, ...] = ()
     subs: dict[str, tuple] = {}  # subcircuit name -> its gate tuples
     seen_main = False
 
@@ -232,8 +226,9 @@ def parse_qc(text: str) -> Circuit:
                 if bad:
                     raise QcSyntaxError(f"{tag} names undeclared wire {bad[0]!r}",
                                         lineno)
-                if tag == ".o":
-                    outputs = tuple(rest)
+                if rest != circuit.wires:
+                    raise QcSyntaxError(
+                        f"{tag} must list the .v wires in .v order", lineno)
             else:
                 raise QcSyntaxError(f"unknown directive {tag}", lineno)
             continue
@@ -308,10 +303,4 @@ def parse_qc(text: str) -> Circuit:
         raise QcSyntaxError("missing .v line", 1)
     if not seen_main:
         raise QcSyntaxError("missing main BEGIN/END block", len(text.splitlines()))
-    if outputs:
-        if sorted(outputs) != sorted(wire_ids):
-            raise QcSemanticError(
-                ".o must be a permutation of .v to define the output order"
-            )
-        circuit.out_permutation = [wire_ids[w] for w in outputs]
     return circuit

@@ -9,9 +9,9 @@ gate is one big-integer operation over all lanes:
     CNOT     w[t] ^= w[c]
     NOT      w[t] ^= mask      (mask has one bit set per lane)
 
-and the output permutation is a re-index of the wire list.  A single
-basis state, a packed integer whose bit i is the value on wire i, is the
-one-lane case of the same loop.
+The outputs are the wires, in wire order.  A single basis state, a
+packed integer whose bit i is the value on wire i, is the one-lane case
+of the same loop.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ class Simulator:
                     f"cannot simulate non-classical gate kind {g[0]}"
                 )
         self._width = circuit.width
-        perm = circuit.out_permutation
-        self._perm = None if perm == list(range(circuit.width)) else list(perm)
 
     @property
     def width(self) -> int:
@@ -71,8 +69,6 @@ class Simulator:
                 w[t] ^= w[a] & w[b]
             else:
                 w[g[1]] ^= mask
-        if self._perm is not None:
-            w = [w[p] for p in self._perm]
         return w
 
     def run(self, state: int) -> int:

@@ -282,8 +282,7 @@ def ref_simulate(circuit: Circuit, state: int) -> int:
             bits[ws[2]] ^= bits[ws[0]] & bits[ws[1]]
         else:
             raise AssertionError(f"non-classical gate {KIND_NAMES[kind]}")
-    out = [bits[p] for p in circuit.out_permutation]
-    return sum(b << i for i, b in enumerate(out))
+    return sum(b << i for i, b in enumerate(bits))
 
 
 # ----------------------------------------------------------------------
@@ -366,13 +365,11 @@ def ref_write_qc(circuit: Circuit) -> str:
     """The .qc text of a circuit, built gate by gate into one list of
     lines; groups become named subcircuits."""
     names = circuit.wires
-    perm = circuit.out_permutation
-    out_names = [names[p] for p in perm]
 
     lines = [
         ".v " + " ".join(names),
         ".i " + " ".join(names),
-        ".o " + " ".join(out_names),
+        ".o " + " ".join(names),
         "",
     ]
 

@@ -42,8 +42,8 @@ def three_wire(*names):
 @st.composite
 def grouped_circuits(draw):
     """A random circuit over all eight gate kinds, with empty groups,
-    repeated labels, gates outside any group and permuted outputs,
-    optionally passed through ``decompose_toffoli``."""
+    repeated labels and gates outside any group, optionally passed
+    through ``decompose_toffoli``."""
     width = draw(st.integers(1, 6))
     c = Circuit()
     for i in range(width):
@@ -62,7 +62,6 @@ def grouped_circuits(draw):
             with c.group(draw(st.sampled_from(("SM", "M", "xyZ", "SR")))):
                 for _ in range(draw(st.integers(0, 4))):
                     gate()
-    c.out_permutation = draw(st.permutations(range(width)))
     if draw(st.booleans()):
         return decompose_toffoli(c)
     return c

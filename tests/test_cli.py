@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -30,6 +32,7 @@ B163_VERIFY = [
     "--y2", "0xd51fbc6c71a0094fa2cdd545b11c5c0c797324f1",
     "--samples", "128"]
 TOY_JOB = synth_args("add.qc")
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +349,20 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAIL
         err = capsys.readouterr().err
         assert "FAIL" in err and "P1=" in err
+
+
+def readme_commands():
+    """The ``ecadd`` lines of the README's ``## Command line`` code block,
+    with each backslash continuation joined to its line."""
+    section = README.read_text().split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [ln.strip() for ln in lines if ln.strip().startswith("ecadd ")]
+
+
+def test_readme_commands_exit_zero(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert commands
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == EXIT_OK, line

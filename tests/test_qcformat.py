@@ -26,7 +26,6 @@ from ecadd.circuit_ir import (
 )
 from ecadd.qcformat import (
     SLICE_GATES,
-    QcSemanticError,
     QcSyntaxError,
     parse_qc,
     write_qc,
@@ -52,8 +51,7 @@ def small_circuit():
 def writer_circuits(draw):
     """A random circuit over all eight gate kinds, with empty groups (a
     trailing one included), gates outside any group, repeated labels and
-    labels that look like a repeated label's suffixed name, optionally
-    with a permuted output."""
+    labels that look like a repeated label's suffixed name."""
     width = draw(st.integers(1, 5))
     c = Circuit()
     for i in range(width):
@@ -76,8 +74,6 @@ def writer_circuits(draw):
     if draw(st.booleans()):
         with c.group("S"):
             pass
-    if draw(st.booleans()):
-        c.out_permutation = draw(st.permutations(range(width)))
     return c
 
 
@@ -257,10 +253,6 @@ class TestParser:
     def test_round_trip_random_circuits(self, rng):
         for _ in range(300):
             c = random_classical_circuit(rng)
-            if rng.random() < 0.25:
-                perm = list(range(c.width))
-                rng.shuffle(perm)
-                c.out_permutation = perm
             back = parse_qc(write_qc(c).decode())
             mc, mb = metrics(c), metrics(back)
             assert (mc.counts, mc.depth, mc.t_depth, mc.width) == \
@@ -321,16 +313,18 @@ class TestParser:
         assert [g.label for g in c.groups] == ["SM"]
         assert c.num_gates == 2
 
-    def test_output_permutation(self):
-        text = ".v a b\n.i a b\n.o b a\nBEGIN\ntof a\nEND\n"
-        c = parse_qc(text)
-        # Logical output 0 reads wire b: NOT on a lands in output bit 1.
-        assert Simulator(c).run(0b00) == 0b10
+    @pytest.mark.parametrize("line", [
+        ".i b a", ".o b a", ".o a a", ".o a", ".i a b b",
+    ])
+    def test_io_lines_must_repeat_v(self, line):
+        with pytest.raises(QcSyntaxError) as exc:
+            parse_qc(f".v a b\n{line}\nBEGIN\nEND\n")
+        assert exc.value.line == 2
 
-    def test_bad_output_set_rejected(self):
-        text = ".v a b\n.i a b\n.o a a\nBEGIN\nEND\n"
-        with pytest.raises(QcSemanticError):
-            parse_qc(text)
+    def test_io_lines_optional(self):
+        c = parse_qc(".v a b\nBEGIN\ntof a b\nEND\n")
+        assert c.wires == ["a", "b"]
+        assert Simulator(c).run(0b01) == 0b11
 
 
 class TestGolden:

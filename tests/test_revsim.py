@@ -37,11 +37,6 @@ class TestGateSemantics:
             expect = s ^ 4 if (s & 3) == 3 else s
             assert Simulator(c).run(s) == expect
 
-    def test_out_permutation(self):
-        c = build(2, [(NOT, 0)])
-        c.out_permutation = [1, 0]  # logical output 0 reads physical wire 1
-        assert Simulator(c).run(0b00) == 0b10
-
     def test_state_range_checked(self):
         sim = Simulator(build(2, []))
         with pytest.raises(ValueError):
@@ -59,10 +54,6 @@ class TestAgainstReference:
     def test_random_circuits_match_reference(self, rng):
         for _ in range(200):
             c = random_classical_circuit(rng)
-            if rng.random() < 0.3:
-                perm = list(range(c.width))
-                rng.shuffle(perm)
-                c.out_permutation = perm
             sim = Simulator(c)
             for _ in range(25):
                 s = rng.getrandbits(c.width)
@@ -87,8 +78,7 @@ def naive_lanes(states, width):
 
 @st.composite
 def lane_jobs(draw):
-    """A random NOT/CNOT/Toffoli circuit, maybe with a permuted output,
-    and 1 to 300 input states."""
+    """A random NOT/CNOT/Toffoli circuit and 1 to 300 input states."""
     width = draw(st.integers(1, 8))
     c = Circuit()
     for i in range(width):
@@ -97,8 +87,6 @@ def lane_jobs(draw):
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(kinds))
         c.append(kind, *draw(st.permutations(range(width)))[:ARITY[kind]])
-    if draw(st.booleans()):
-        c.out_permutation = draw(st.permutations(range(width)))
     states = draw(st.lists(st.integers(0, (1 << width) - 1),
                            min_size=1, max_size=300))
     return c, states
