@@ -1,12 +1,17 @@
 """Reversible / Clifford+T circuit representation and exact metrics.
 
-Circuits are built over a flat wire table.  Gates are stored as compact
-tuples ``(kind, wire, ...)`` so that million-gate circuits fit
-comfortably in memory.
+Circuits are built over a flat wire table.  Gates are stored as runs of
+one kind: a run is ``(kind, columns)`` with one ``array('I')`` of wire
+ids per wire role (``ARITY[kind]`` columns), so a gate costs 4 bytes per
+wire and million-gate circuits stay small.  Synthesis appends whole
+runs, and a run may be shared by several blocks and circuits, so a run
+that has been added or that ends a group is never extended again.
 
 Labeled gate-index spans ("groups") mark logical subcircuits.  They form
 one flat list in gate order and never nest, like the blocks of a ``.qc``
-file; writers render each group as a named block.
+file; writers render each group as a named block.  A group boundary
+always starts a new run, so each group and each gap between groups is a
+list of whole runs (``Circuit.spans``).
 
 Metrics are computed by earliest-start scheduling: a gate starts one time
 unit after the latest finish time on any of its wires.  There is one
@@ -19,19 +24,20 @@ units as a block, which is how composition bounds for Toffoli-level
 constructions are accounted.  On a Toffoli-free circuit the block
 figures are the circuit's own.
 
-``metrics`` takes every figure in one pass over the gate list, branching
-on the gate kind.  Alongside the three global per-wire levels it keeps a
-fourth, relative level, reset to zero on every wire at the start of each
-group; the largest relative level when the group ends is the group's
-own depth, the depth it would have as a circuit by itself.
-Per-kind counts of the circuit and of each group come from the same loop.
+``metrics`` takes every figure in one pass over the runs, with one
+inner loop per gate kind.  Alongside the three global per-wire levels
+it keeps a fourth, relative level, reset to zero on every wire at the
+start of each group; the largest relative level when the group ends is
+the group's own depth, the depth it would have as a circuit by itself.
+Per-kind counts of the circuit and of each group come from the same
+pass.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from array import array
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from itertools import islice
 
 NOT, CNOT, TOFFOLI, H, T, T_DAGGER, S, S_DAGGER = range(8)
 
@@ -80,16 +86,41 @@ class Group:
     end: int    # gate index, exclusive
 
 
+@dataclass(frozen=True)
+class GateRuns:
+    """The gates a synthesis routine emitted, as its runs in order;
+    ``len()`` is the gate count.  A caller replays a block by adding the
+    same runs again, or undoes a classical one (its gates are their own
+    inverses) by adding ``reversed_runs(block.runs)``."""
+
+    runs: tuple
+
+    def __len__(self) -> int:
+        return sum(len(cols[0]) for _, cols in self.runs)
+
+
+def reversed_runs(runs) -> list:
+    """The gates of ``runs`` in reverse order: the runs reversed, each
+    as views that read its columns backwards, so no wire id is copied."""
+    return [(kind, tuple(memoryview(col)[::-1] for col in cols))
+            for kind, cols in reversed(runs)]
+
+
 class Circuit:
-    """A gate list over named wires, with labeled subcircuit spans; its
-    inputs and outputs are its wires, in wire order."""
+    """Gates over named wires, stored as single-kind runs, with labeled
+    subcircuit spans; its inputs and outputs are its wires, in wire
+    order."""
 
     def __init__(self):
         self.wires: list[str] = []
         self._wire_names: set[str] = set()
-        self._gates: list[tuple] = []
+        self.runs: list[tuple] = []
+        self.num_gates = 0
         self.groups: list[Group] = []
         self._in_group = False
+        # The last run, while ``append`` may still extend it: a run that
+        # was added whole, or that ends at a group boundary, is closed.
+        self._open = None
 
     # -- wires ----------------------------------------------------------
 
@@ -108,6 +139,8 @@ class Circuit:
     # -- gates ----------------------------------------------------------
 
     def append(self, kind: int, *wires: int):
+        """Append one gate, checked: to the open run if it is of the same
+        kind, else as a new run."""
         if not 0 <= kind < len(KIND_NAMES):
             raise CircuitError(f"unknown gate kind {kind}")
         if len(wires) != ARITY[kind]:
@@ -120,18 +153,47 @@ class Circuit:
                 raise CircuitError(f"wire id {w} out of range")
         if len(set(wires)) != len(wires):
             raise CircuitError("gate wires must be distinct")
-        self._gates.append((kind,) + wires)
+        run = self._open
+        if run is not None and run[0] == kind:
+            for col, w in zip(run[1], wires):
+                col.append(w)
+        else:
+            self._open = run = (kind, tuple(array("I", (w,)) for w in wires))
+            self.runs.append(run)
+        self.num_gates += 1
 
-    def extend_raw(self, gates):
-        """Bulk-append pre-validated gate tuples (synthesis fast path)."""
-        self._gates.extend(gates)
+    def add_runs(self, runs):
+        """Append whole pre-validated runs (synthesis fast path).  They
+        are shared, not copied, and none is extended afterwards; empty
+        runs are dropped."""
+        for run in runs:
+            count = len(run[1][0])
+            if count:
+                self.runs.append(run)
+                self.num_gates += count
+        self._open = None
 
-    @property
-    def num_gates(self) -> int:
-        return len(self._gates)
+    def spans(self):
+        """``(group, runs)`` for each group and each gap before, between
+        and after the groups, in gate order; ``group`` is None for a gap.
+        Both are lists of whole runs, since a group boundary starts a
+        new run."""
+        runs = iter(self.runs)
 
-    def gate_tuples(self) -> list[tuple]:
-        return self._gates
+        def take(count: int) -> list:
+            out = []
+            while count > 0:
+                run = next(runs)
+                out.append(run)
+                count -= len(run[1][0])
+            return out
+
+        pos = 0
+        for grp in self.groups:
+            yield None, take(grp.start - pos)
+            yield grp, take(grp.end - grp.start)
+            pos = grp.end
+        yield None, take(self.num_gates - pos)
 
     # -- groups ----------------------------------------------------------
 
@@ -142,43 +204,37 @@ class Circuit:
         if self._in_group:
             raise CircuitError(f"group {label!r} opened inside another group")
         self._in_group = True
-        start = len(self._gates)
+        self._open = None
+        start = self.num_gates
         try:
             yield
         finally:
             self._in_group = False
-        self.groups.append(Group(label, start, len(self._gates)))
+            self._open = None
+        self.groups.append(Group(label, start, self.num_gates))
 
 
 def decompose_toffoli(circuit: Circuit) -> Circuit:
     """Rewrite every Toffoli as its 15-gate Clifford+T template.
 
     Group spans are remapped so labeled blocks still cover the same
-    logical gates.  ``qcformat.write_qc(circuit, clifford_t=True)``
-    returns the .qc bytes of this circuit without building it.
+    logical gates; runs of other kinds are shared with ``circuit``.
+    ``qcformat.write_qc(circuit, clifford_t=True)`` returns the .qc
+    bytes of this circuit without building it.
     """
     out = Circuit()
     for name in circuit.wires:
         out.add_wire(name)
-    gates = []
-    index_map = [0] * (len(circuit._gates) + 1)
-    for i, g in enumerate(circuit._gates):
-        index_map[i] = len(gates)
-        if g[0] == TOFFOLI:
-            roles = (g[1], g[2], g[3])
-            for entry in TOFFOLI_TEMPLATE:
-                if entry[0] == CNOT:
-                    gates.append((CNOT, roles[entry[1]], roles[entry[2]]))
-                else:
-                    gates.append((entry[0], roles[entry[1]]))
-        else:
-            gates.append(g)
-    index_map[len(circuit._gates)] = len(gates)
-    out._gates = gates
-    out.groups = [
-        Group(g.label, index_map[g.start], index_map[g.end])
-        for g in circuit.groups
-    ]
+    for grp, runs in circuit.spans():
+        with out.group(grp.label) if grp else nullcontext():
+            for run in runs:
+                kind, cols = run
+                if kind != TOFFOLI:
+                    out.add_runs((run,))
+                    continue
+                for roles in zip(*cols):
+                    for tkind, *troles in TOFFOLI_TEMPLATE:
+                        out.append(tkind, *(roles[r] for r in troles))
     return out
 
 
@@ -231,8 +287,8 @@ class ResourceReport:
         return sum(self.counts.values())
 
 
-def _sweep(gates, count, levels, total):
-    """Schedule the next ``count`` gates of the iterator ``gates``.
+def _sweep(runs, levels, total):
+    """Schedule the gates of ``runs``, one inner loop per run.
 
     ``levels`` holds the three global per-wire levels: depth, Clifford+T
     depth and T-depth, where a Toffoli takes 8 depth units and 4
@@ -244,70 +300,69 @@ def _sweep(gates, count, levels, total):
     level, clevel, tlevel = levels
     rel = [0] * len(level)
     counts = [0] * len(KIND_NAMES)
-    for g in islice(gates, count):
-        k = g[0]
-        counts[k] += 1
-        if k == CNOT:
-            _, a, b = g
-            x, y = level[a], level[b]
-            level[a] = level[b] = (x if x > y else y) + 1
-            x, y = clevel[a], clevel[b]
-            clevel[a] = clevel[b] = (x if x > y else y) + 1
-            x, y = tlevel[a], tlevel[b]
-            tlevel[a] = tlevel[b] = x if x > y else y
-            x, y = rel[a], rel[b]
-            rel[a] = rel[b] = (x if x > y else y) + 1
-        elif k == TOFFOLI:
-            _, a, b, c = g
-            x, y, z = level[a], level[b], level[c]
-            if y > x:
-                x = y
-            level[a] = level[b] = level[c] = (x if x > z else z) + 1
-            x, y, z = clevel[a], clevel[b], clevel[c]
-            if y > x:
-                x = y
-            clevel[a] = clevel[b] = clevel[c] = \
-                (x if x > z else z) + TOFFOLI_DECOMP_DEPTH
-            x, y, z = tlevel[a], tlevel[b], tlevel[c]
-            if y > x:
-                x = y
-            tlevel[a] = tlevel[b] = tlevel[c] = \
-                (x if x > z else z) + TOFFOLI_DECOMP_T_DEPTH
-            x, y, z = rel[a], rel[b], rel[c]
-            if y > x:
-                x = y
-            rel[a] = rel[b] = rel[c] = (x if x > z else z) + 1
-        else:
-            _, a = g
-            level[a] += 1
-            clevel[a] += 1
-            rel[a] += 1
-            if k == T or k == T_DAGGER:
+    for kind, cols in runs:
+        counts[kind] += len(cols[0])
+        if kind == CNOT:
+            for a, b in zip(*cols):
+                x, y = level[a], level[b]
+                level[a] = level[b] = (x if x > y else y) + 1
+                x, y = clevel[a], clevel[b]
+                clevel[a] = clevel[b] = (x if x > y else y) + 1
+                x, y = tlevel[a], tlevel[b]
+                tlevel[a] = tlevel[b] = x if x > y else y
+                x, y = rel[a], rel[b]
+                rel[a] = rel[b] = (x if x > y else y) + 1
+        elif kind == TOFFOLI:
+            for a, b, c in zip(*cols):
+                x, y, z = level[a], level[b], level[c]
+                if y > x:
+                    x = y
+                level[a] = level[b] = level[c] = (x if x > z else z) + 1
+                x, y, z = clevel[a], clevel[b], clevel[c]
+                if y > x:
+                    x = y
+                clevel[a] = clevel[b] = clevel[c] = \
+                    (x if x > z else z) + TOFFOLI_DECOMP_DEPTH
+                x, y, z = tlevel[a], tlevel[b], tlevel[c]
+                if y > x:
+                    x = y
+                tlevel[a] = tlevel[b] = tlevel[c] = \
+                    (x if x > z else z) + TOFFOLI_DECOMP_T_DEPTH
+                x, y, z = rel[a], rel[b], rel[c]
+                if y > x:
+                    x = y
+                rel[a] = rel[b] = rel[c] = (x if x > z else z) + 1
+        elif kind == T or kind == T_DAGGER:
+            for a in cols[0]:
+                level[a] += 1
+                clevel[a] += 1
                 tlevel[a] += 1
+                rel[a] += 1
+        else:
+            for a in cols[0]:
+                level[a] += 1
+                clevel[a] += 1
+                rel[a] += 1
     for k, c in enumerate(counts):
         total[k] += c
     return counts, max(rel, default=0)
 
 
 def metrics(circuit: Circuit) -> ResourceReport:
-    """Exact resource report for a circuit, in one pass over its gates.
+    """Exact resource report for a circuit, in one pass over its runs.
 
-    The gates are taken in spans: each group, and the gaps between
+    The runs are taken in spans: each group, and the gaps between
     them.  Every span advances the global schedule and yields
     its own counts and depth; only the groups' figures are reported.
     """
     levels = tuple([0] * circuit.width for _ in range(3))
-    gates = iter(circuit._gates)
     counts = [0] * len(KIND_NAMES)
     subs = []
-    pos = 0
-    for grp in circuit.groups:
-        _sweep(gates, grp.start - pos, levels, counts)
-        gcounts, gdepth = _sweep(gates, grp.end - grp.start, levels, counts)
-        pos = grp.end
-        subs.append(GroupMetrics(grp.label, dict(zip(KIND_NAMES, gcounts)),
-                                 gdepth))
-    _sweep(gates, len(circuit._gates) - pos, levels, counts)
+    for grp, runs in circuit.spans():
+        gcounts, gdepth = _sweep(runs, levels, counts)
+        if grp is not None:
+            subs.append(GroupMetrics(grp.label,
+                                     dict(zip(KIND_NAMES, gcounts)), gdepth))
     depth, c_depth, t_depth = (max(lv, default=0) for lv in levels)
 
     tof = counts[TOFFOLI]

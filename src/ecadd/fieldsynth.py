@@ -15,10 +15,10 @@ over n-wire registers.  Conventions:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
-from .circuit_ir import CNOT, TOFFOLI, Circuit, CircuitError
+from .circuit_ir import CNOT, TOFFOLI, Circuit, CircuitError, GateRuns
 from .edgecolor import color_edges, graph_of_matrix
 from .gf2field import IrreduciblePoly
 from .linmaps import BinMatrix
@@ -68,19 +68,23 @@ def linear_layers(matrix: BinMatrix) -> list[list[tuple[int, int]]]:
 
 
 def synth_linear(circuit: Circuit, matrix: BinMatrix, src: RegisterRef,
-                 dst: RegisterRef, layers=None) -> list[tuple]:
+                 dst: RegisterRef, layers=None) -> GateRuns:
     """Append ``dst ^= M * src`` (weight(M) CNOTs, depth max_degree(M))
-    and return the emitted gate list.  Its CNOTs commute and src and dst
-    are disjoint, so a caller may replay the list to undo the block."""
+    as one CNOT run, layer by layer, and return it.  Its CNOTs commute
+    and src and dst are disjoint, so a caller may replay the run to undo
+    the block."""
     if matrix.n != src.n or matrix.n != dst.n:
         raise CircuitError("matrix dimension does not match register width")
     _require_disjoint(src, dst)
     if layers is None:
         layers = linear_layers(matrix)
     sw, dw = src.wires, dst.wires
-    gates = [(CNOT, sw[i], dw[j]) for layer in layers for i, j in layer]
-    circuit.extend_raw(gates)
-    return gates
+    block = GateRuns(((CNOT, (
+        array("I", [sw[i] for layer in layers for i, _ in layer]),
+        array("I", [dw[j] for layer in layers for _, j in layer]),
+    )),))
+    circuit.add_runs(block.runs)
+    return block
 
 
 def synth_add_inplace(circuit: Circuit, src: RegisterRef, dst: RegisterRef):
@@ -88,47 +92,48 @@ def synth_add_inplace(circuit: Circuit, src: RegisterRef, dst: RegisterRef):
     if src.n != dst.n:
         raise CircuitError("register widths differ")
     _require_disjoint(src, dst)
-    circuit.extend_raw(
-        (CNOT, s, d) for s, d in zip(src.wires, dst.wires)
-    )
+    circuit.add_runs(((CNOT, (array("I", src.wires), array("I", dst.wires))),))
 
 
-def mult_gates(field: IrreduciblePoly, a: RegisterRef, b: RegisterRef,
-               acc: RegisterRef) -> list[tuple]:
-    """Gate list of the in-place modular multiplier ``acc ^= a * b``.
+def synth_mult(circuit: Circuit, field: IrreduciblePoly, a: RegisterRef,
+               b: RegisterRef, acc: RegisterRef) -> GateRuns:
+    """Append the in-place modular multiplier ``acc ^= a * b`` and return
+    its runs (which a caller may replay reversed to uncompute the
+    product).
 
     Operand b is replaced by x*b (mod p) before each partial-product row
     after the first -- a cyclic wire relabeling plus one CNOT fan-out from
     the former top bit per inner reduction term -- and the n-1 shifts are
-    undone at the end, restoring b exactly.
+    undone at the end, restoring b exactly.  Each row of n Toffolis is a
+    run, and the rows share one ``acc`` column.
     """
-    n = field.n
-    exps = [e for e in field.support if 0 < e < n]
-    view = list(b.wires)
-    gates = []
-    for i, ai in enumerate(a.wires):
-        if i:
-            top = view[-1]
-            gates.extend((CNOT, top, view[e - 1]) for e in exps)
-            view = [top] + view[:-1]
-        gates.extend(zip(repeat(TOFFOLI, n), repeat(ai, n), view, acc.wires))
-    for _ in range(n - 1):
-        top = view[0]
-        view = view[1:] + [top]
-        gates.extend((CNOT, top, view[e - 1]) for e in exps)
-    return gates
-
-
-def synth_mult(circuit: Circuit, field: IrreduciblePoly, a: RegisterRef,
-               b: RegisterRef, acc: RegisterRef) -> list[tuple]:
-    """Append ``acc ^= a * b`` and return the emitted gate list (which a
-    caller may replay reversed to uncompute the product)."""
     if not (field.n == a.n == b.n == acc.n):
         raise CircuitError("register widths do not match the field degree")
     _require_disjoint(a, b, acc)
-    gates = mult_gates(field, a, b, acc)
-    circuit.extend_raw(gates)
-    return gates
+    n = field.n
+    exps = [e for e in field.support if 0 < e < n]
+    fan = len(exps)
+    view = list(b.wires)
+    acc_col = array("I", acc.wires)
+    runs = []
+    for i, ai in enumerate(a.wires):
+        if i:
+            top = view[-1]
+            runs.append((CNOT, (array("I", [top]) * fan,
+                                array("I", [view[e - 1] for e in exps]))))
+            view = [top] + view[:-1]
+        runs.append((TOFFOLI, (array("I", [ai]) * n, array("I", view),
+                               acc_col)))
+    controls, targets = array("I"), array("I")
+    for _ in range(n - 1):
+        top = view[0]
+        view = view[1:] + [top]
+        controls.extend([top] * fan)
+        targets.extend([view[e - 1] for e in exps])
+    runs.append((CNOT, (controls, targets)))
+    block = GateRuns(tuple(runs))
+    circuit.add_runs(block.runs)
+    return block
 
 
 def standalone_multiplier(field: IrreduciblePoly) -> Circuit:

@@ -31,6 +31,7 @@ from .circuit_ir import (
     ResourceReport,
     decompose_toffoli,  # not called here; bench/tracer.py wraps it at this site
     metrics,
+    reversed_runs,
 )
 from .ecoracle import (
     EXHAUSTIVE_MAX_N,
@@ -98,17 +99,17 @@ def multiplier_report(field: IrreduciblePoly) -> ResourceReport:
     return metrics(standalone_multiplier(field))
 
 
-def _linear_block(circuit, label, matrix, src, dst, layers) -> list[tuple]:
+def _linear_block(circuit, label, matrix, src, dst, layers) -> tuple:
     """Emit one labeled linear block (an empty group for a zero matrix)
-    and return its gates."""
+    and return its runs."""
     with circuit.group(label):
-        return synth_linear(circuit, matrix, src, dst, layers)
+        return synth_linear(circuit, matrix, src, dst, layers).runs
 
 
-def _replay(circuit, label, gates):
-    """Emit a labeled block of the given gates (the same tuples)."""
+def _replay(circuit, label, runs):
+    """Emit a labeled block of the given runs (the same run objects)."""
     with circuit.group(label):
-        circuit.extend_raw(gates)
+        circuit.add_runs(runs)
 
 
 def synth_point_add(curve: Curve, p2: AffinePoint, *,
@@ -122,11 +123,11 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     ``qcformat.write_qc(circuit, clifford_t=True)`` expands each Toffoli
     as it writes it.
 
-    Each reversal block replays the gate list of its forward block: IM
-    replays the step-7 product reversed, and ISM, IX, IS and Ia2 replay
-    SM, X, S and a2 as they are, since a linear block's CNOTs commute
-    and it is its own inverse.  The replayed blocks share the forward
-    blocks' tuples.
+    Each reversal block replays the runs of its forward block: IM
+    replays the step-7 product's runs reversed, as views of the same
+    columns, and ISM, IX, IS and Ia2 replay SM, X, S and a2 as they are,
+    since a linear block's CNOTs commute and it is its own inverse.  The
+    replayed blocks share the forward blocks' run objects.
     """
     if p2.is_infinity:
         raise SynthesisError("the fixed point P2 must be affine (not O)")
@@ -162,19 +163,19 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     rz3p, ry3 = regs["Z3p"], regs["Y3"]
 
     # 1: Y1 <- A = Y1 + y2 * Z1^2
-    sm_gates = _linear_block(c, "SM", m_sm, rz1, ry1, lay_sm)
+    sm_runs = _linear_block(c, "SM", m_sm, rz1, ry1, lay_sm)
     # 2: X1 <- B = X1 + x2 * Z1
-    xz1_gates = _linear_block(c, "X", m_x2, rz1, rx1, lay_x2)
+    xz1_runs = _linear_block(c, "X", m_x2, rz1, rx1, lay_x2)
     # 3: C <- B * Z1
     with c.group("M"):
         synth_mult(c, fld, rx1, rz1, rc)
     # 4: Z3 <- C^2, X3 <- A^2, Bsq <- B^2
     _linear_block(c, "S", m_sq, rc, rz3, lay_sq)
     _linear_block(c, "S", m_sq, ry1, rx3, lay_sq)
-    sb_gates = _linear_block(c, "S", m_sq, rx1, rbsq, lay_sq)
+    sb_runs = _linear_block(c, "S", m_sq, rx1, rbsq, lay_sq)
     # 5: Bsq += a2 * C;  D <- x2 * Z3
-    a2_gates = _linear_block(c, "a2", m_a2, rc, rbsq, lay_a2)
-    xz3_gates = _linear_block(c, "X", m_x2, rz3, rd, lay_x2)
+    a2_runs = _linear_block(c, "a2", m_a2, rc, rbsq, lay_a2)
+    xz3_runs = _linear_block(c, "X", m_x2, rz3, rd, lay_x2)
     # 6: Bsq += A;  Cp <- C;  Z3p <- Z3
     synth_add_inplace(c, ry1, rbsq)
     synth_add_inplace(c, rc, rcp)
@@ -183,7 +184,7 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     with c.group("M"):
         synth_mult(c, fld, rc, rbsq, rx3)
     with c.group("M"):
-        acp_gates = synth_mult(c, fld, ry1, rcp, rz3p)
+        acp_runs = synth_mult(c, fld, ry1, rcp, rz3p).runs
     _linear_block(c, "xyZ", m_xyz, rz3, ry3, lay_xyz)
     # 8: D += X3
     synth_add_inplace(c, rx3, rd)
@@ -193,22 +194,22 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     # 10: D += X3  (restores D = x2 * Z3)
     synth_add_inplace(c, rx3, rd)
     # 11: uncompute Z3p += A * Cp
-    _replay(c, "IM", reversed(acp_gates))
+    _replay(c, "IM", reversed_runs(acp_runs))
     # 12: reverse step 6
     synth_add_inplace(c, ry1, rbsq)
     synth_add_inplace(c, rc, rcp)
     synth_add_inplace(c, rz3, rz3p)
     # 13: reverse step 5
-    _replay(c, "IX", xz3_gates)
-    _replay(c, "Ia2", a2_gates)
+    _replay(c, "IX", xz3_runs)
+    _replay(c, "Ia2", a2_runs)
     # 14: reverse the B squaring; C += sqrt(Z3) clears C.
     # (The A^2 share of step 4 is part of the output X3 and must stay.)
-    _replay(c, "IS", sb_gates)
+    _replay(c, "IS", sb_runs)
     _linear_block(c, "SR", m_sqrt, rz3, rc, lay_sqrt)
     # 15: reverse step 2
-    _replay(c, "IX", xz1_gates)
+    _replay(c, "IX", xz1_runs)
     # 16: reverse step 1
-    _replay(c, "ISM", sm_gates)
+    _replay(c, "ISM", sm_runs)
 
     report = metrics(c)
     g_s = m_sq.weight

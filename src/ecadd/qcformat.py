@@ -24,16 +24,21 @@ repeat the ``.v`` names in ``.v`` order.
 The writer renders each group of a circuit as a named subcircuit.  Group
 labels repeat (e.g. several squaring blocks), so a name already taken
 gets the first free ``_2``, ``_3``, ... suffix, while the first
-occurrence keeps its name verbatim.  Each Toffoli line, one line or the
-15 of its Clifford+T template, is one compiled f-string.  ``write_qc``
-returns the file's bytes, rendered a slice of gates at a time into one
-buffer, so the text is held once; ``parse_qc`` takes the decoded text.
+occurrence keeps its name verbatim.  The lines of a run of gates come
+from one comprehension over its wire columns, each line one compiled
+f-string (a Toffoli's 15 Clifford+T lines, too).  ``write_qc`` returns
+the file's bytes, rendered a slice of gates at a time into one buffer,
+so the text is held once; ``parse_qc`` takes the decoded text and
+builds the circuit's runs.
 """
 
 from __future__ import annotations
 
 import io
 import re
+from array import array
+from itertools import groupby
+from operator import itemgetter
 
 from .circuit_ir import (
     CNOT,
@@ -74,13 +79,9 @@ _ONE_WIRE_PREFIX = {NOT: "tof ",
                     **{k: f"{v} " for k, v in _ONE_WIRE_NAMES.items()}}
 
 
-# A Toffoli on controls a, b and target c, as one line and as the 15
-# lines of its Clifford+T template (``circuit_ir.TOFFOLI_TEMPLATE``,
-# written out so that each is one compiled f-string).
-def _toffoli_line(a: str, b: str, c: str) -> str:
-    return f"tof {a} {b} {c}"
-
-
+# A Toffoli on controls a, b and target c as the 15 lines of its
+# Clifford+T template (``circuit_ir.TOFFOLI_TEMPLATE``, written out so
+# that it is one compiled f-string).
 def _toffoli_clifford_t(a: str, b: str, c: str) -> str:
     return (f"T {a}\nT {b}\nH {c}\ntof {c} {a}\nT* {a}\nT {c}\n"
             f"tof {b} {a}\nT {a}\ntof {c} {b}\ntof {c} {a}\nT* {b}\n"
@@ -94,26 +95,41 @@ def _sanitize(label: str) -> str:
     return s
 
 
-def _write_span(out, gates, start: int, end: int, names, toffoli):
-    """Write ``gates[start:end]`` into ``out`` as lines ending in LF,
-    rendered and encoded SLICE_GATES at a time; ``toffoli`` formats a
-    Toffoli from its three wire names."""
-    prefix = _ONE_WIRE_PREFIX
-    for s in range(start, end, SLICE_GATES):
-        lines = []
-        append = lines.append
-        for g in gates[s:min(s + SLICE_GATES, end)]:
-            k = g[0]
-            if k == CNOT:
-                _, a, b = g
-                append(f"tof {names[a]} {names[b]}")
-            elif k == TOFFOLI:
-                _, a, b, c = g
-                append(toffoli(names[a], names[b], names[c]))
-            else:
-                _, a = g
-                append(prefix[k] + names[a])
-        append("")
+def _lines(kind, cols, names, clifford_t) -> list[str]:
+    """The lines of one run's gates, a Toffoli's as its Clifford+T
+    template with ``clifford_t``."""
+    if kind == TOFFOLI:
+        if clifford_t:
+            return [_toffoli_clifford_t(names[a], names[b], names[c])
+                    for a, b, c in zip(*cols)]
+        return [f"tof {names[a]} {names[b]} {names[c]}"
+                for a, b, c in zip(*cols)]
+    if kind == CNOT:
+        return [f"tof {names[a]} {names[b]}" for a, b in zip(*cols)]
+    prefix = _ONE_WIRE_PREFIX[kind]
+    return [prefix + names[a] for a in cols[0]]
+
+
+def _write_runs(out, runs, names, clifford_t):
+    """Write the gates of ``runs`` into ``out`` as lines ending in LF,
+    rendered and encoded SLICE_GATES at a time, a run's share of a
+    slice by one comprehension of its kind."""
+    lines = []
+    room = SLICE_GATES
+    for kind, cols in runs:
+        start, size = 0, len(cols[0])
+        while start < size:
+            stop = min(size, start + room)
+            lines += _lines(kind, [col[start:stop] for col in cols], names,
+                            clifford_t)
+            room -= stop - start
+            start = stop
+            if not room:
+                lines.append("")
+                out.write("\n".join(lines).encode())
+                lines, room = [], SLICE_GATES
+    if lines:
+        lines.append("")
         out.write("\n".join(lines).encode())
 
 
@@ -122,23 +138,21 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> bytes:
 
     The file is written into one buffer, whose bytes are returned
     without a copy: the header, each group as a named subcircuit, then
-    the main block, whose runs of gates between groups are taken in a
-    second pass over the group positions.  Gates are rendered and
-    encoded SLICE_GATES at a time, so no other copy of the text is
-    held.  With ``clifford_t`` each Toffoli is written as its 15-gate
-    Clifford+T template (``circuit_ir.TOFFOLI_TEMPLATE``) as it is
-    rendered, giving the same bytes as writing
-    ``decompose_toffoli(circuit)``.
+    the main block, whose gaps between groups come from the same list
+    of spans.  Gates are rendered and encoded SLICE_GATES at a time, so
+    no other copy of the text is held.  With ``clifford_t`` each Toffoli
+    is written as its 15-gate Clifford+T template
+    (``circuit_ir.TOFFOLI_TEMPLATE``) as it is rendered, giving the same
+    bytes as writing ``decompose_toffoli(circuit)``.
     """
     names = circuit.wires
-    toffoli = _toffoli_clifford_t if clifford_t else _toffoli_line
-    gates = circuit.gate_tuples()
+    spans = list(circuit.spans())
     out = io.BytesIO()
     joined = " ".join(names)
     out.write(f".v {joined}\n.i {joined}\n.o {joined}\n\n".encode())
     blocks = []
     taken: set[str] = set()
-    for grp in circuit.groups:
+    for grp, runs in spans[1::2]:
         base = _sanitize(grp.label)
         name, k = base, 2
         while name in taken:
@@ -147,15 +161,13 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> bytes:
         taken.add(name)
         blocks.append(name)
         out.write(f"BEGIN {name}\n".encode())
-        _write_span(out, gates, grp.start, grp.end, names, toffoli)
+        _write_runs(out, runs, names, clifford_t)
         out.write(f"END {name}\n\n".encode())
     out.write(b"BEGIN\n")
-    pos = 0
-    for grp, name in zip(circuit.groups, blocks):
-        _write_span(out, gates, pos, grp.start, names, toffoli)
+    for (_, gap), name in zip(spans[::2], blocks):
+        _write_runs(out, gap, names, clifford_t)
         out.write(f"{name}\n".encode())
-        pos = grp.end
-    _write_span(out, gates, pos, len(gates), names, toffoli)
+    _write_runs(out, spans[-1][1], names, clifford_t)
     out.write(b"END\n")
     return out.getvalue()
 
@@ -163,6 +175,12 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> bytes:
 # ----------------------------------------------------------------------
 # Parsing
 # ----------------------------------------------------------------------
+
+def _runs_of(gates) -> list:
+    """The single-kind runs of a list of gate tuples ``(kind, wire...)``."""
+    return [(kind, tuple(array("I", col) for col in list(zip(*run))[1:]))
+            for kind, run in groupby(gates, itemgetter(0))]
+
 
 def _parse_gate(tokens, lineno, wire_ids) -> tuple:
     op = tokens[0]
@@ -195,7 +213,7 @@ def parse_qc(text: str) -> Circuit:
     """
     circuit = Circuit()
     wire_ids: dict[str, int] | None = None  # None until the .v line
-    subs: dict[str, tuple] = {}  # subcircuit name -> its gate tuples
+    subs: dict[str, list] = {}  # subcircuit name -> its runs
     seen_main = False
 
     in_block = False
@@ -270,7 +288,7 @@ def parse_qc(text: str) -> Circuit:
                         f"{block_name!r}", lineno)
                 if len(tokens) > 2:
                     raise QcSyntaxError("END takes at most one name", lineno)
-                subs[block_name] = tuple(block_gates)
+                subs[block_name] = _runs_of(block_gates)
             in_block = False
             continue
 
@@ -282,7 +300,7 @@ def parse_qc(text: str) -> Circuit:
             # over gate mnemonics (a gate line always has wire operands).
             if block_name is None and tokens[0] in subs:
                 with circuit.group(tokens[0]):
-                    circuit.extend_raw(subs[tokens[0]])
+                    circuit.add_runs(subs[tokens[0]])
                 continue
             if tokens[0] not in _ONE_WIRE and tokens[0] != "tof":
                 if block_name is not None:
@@ -293,7 +311,7 @@ def parse_qc(text: str) -> Circuit:
 
         gate = _parse_gate(tokens, lineno, wire_ids)
         if block_name is None:
-            circuit.extend_raw((gate,))
+            circuit.append(*gate)
         else:
             block_gates.append(gate)
 

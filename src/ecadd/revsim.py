@@ -40,12 +40,13 @@ class Simulator:
     """Reusable simulator for a fixed classical circuit."""
 
     def __init__(self, circuit: Circuit):
-        # The circuit's own list, not a copy: the circuit must stay fixed.
-        self._gates = circuit.gate_tuples()
-        for g in self._gates:
-            if g[0] not in (NOT, CNOT, TOFFOLI):
+        # The circuit's own run list, not a copy: the circuit must stay
+        # fixed.
+        self._runs = circuit.runs
+        for kind, _ in self._runs:
+            if kind not in (NOT, CNOT, TOFFOLI):
                 raise UnsupportedGate(
-                    f"cannot simulate non-classical gate kind {g[0]}"
+                    f"cannot simulate non-classical gate kind {kind}"
                 )
         self._width = circuit.width
 
@@ -59,16 +60,16 @@ class Simulator:
         if len(wires) != self._width:
             raise ValueError("one lane integer per wire is required")
         w = list(wires)
-        for g in self._gates:
-            k = g[0]
-            if k == CNOT:
-                _, c, t = g
-                w[t] ^= w[c]
-            elif k == TOFFOLI:
-                _, a, b, t = g
-                w[t] ^= w[a] & w[b]
+        for kind, cols in self._runs:
+            if kind == CNOT:
+                for c, t in zip(*cols):
+                    w[t] ^= w[c]
+            elif kind == TOFFOLI:
+                for a, b, t in zip(*cols):
+                    w[t] ^= w[a] & w[b]
             else:
-                w[g[1]] ^= mask
+                for t in cols[0]:
+                    w[t] ^= mask
         return w
 
     def run(self, state: int) -> int:

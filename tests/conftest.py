@@ -239,6 +239,27 @@ def random_invertible(n: int, rng: random.Random) -> BinMatrix:
 
 
 # ----------------------------------------------------------------------
+# The tuple view of a circuit's gates, and a circuit built from one
+# ----------------------------------------------------------------------
+
+def gate_tuples(runs) -> list[tuple]:
+    """The gates of a run list (a circuit's ``runs``, or a span of
+    them) as tuples ``(kind, wire, ...)``, in order."""
+    return [(kind, *wires) for kind, cols in runs for wires in zip(*cols)]
+
+
+def circuit_of(wires, gates) -> Circuit:
+    """A group-free circuit over the wire names ``wires`` with the given
+    gate tuples, each appended (and checked) one at a time."""
+    c = Circuit()
+    for name in wires:
+        c.add_wire(name)
+    for g in gates:
+        c.append(*g)
+    return c
+
+
+# ----------------------------------------------------------------------
 # Random classical circuits (for round-trip / simulator tests)
 # ----------------------------------------------------------------------
 
@@ -273,7 +294,7 @@ def random_classical_circuit(rng: random.Random, max_wires: int = 8,
 def ref_simulate(circuit: Circuit, state: int) -> int:
     """Independent gate-by-gate simulation over the gate tuples."""
     bits = [state >> i & 1 for i in range(circuit.width)]
-    for kind, *ws in circuit.gate_tuples():
+    for kind, *ws in gate_tuples(circuit.runs):
         if kind == NOT:
             bits[ws[0]] ^= 1
         elif kind == CNOT:
@@ -336,7 +357,7 @@ def ref_metrics(circuit: Circuit):
     """((depth, t_depth, block_depth, block_t_depth), subcircuits) with one
     (label, counts, depth) per group, each group scheduled
     again on its own slice of the gate list."""
-    gates = circuit.gate_tuples()
+    gates = gate_tuples(circuit.runs)
     subs = []
     for grp in circuit.groups:
         span = gates[grp.start:grp.end]
@@ -373,7 +394,7 @@ def ref_write_qc(circuit: Circuit) -> str:
         "",
     ]
 
-    gates = circuit.gate_tuples()
+    gates = gate_tuples(circuit.runs)
     spans = []  # (start, end, unique_name)
     taken: set[str] = set()
     for grp in circuit.groups:

@@ -1,14 +1,23 @@
 """Circuit representation, flat groups, Toffoli decomposition, and exact
 resource metrics."""
 
+import random
+from array import array
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_classical_circuit, ref_metrics
+from conftest import (
+    gate_tuples,
+    random_classical_circuit,
+    ref_metrics,
+    ref_simulate,
+    ref_write_qc,
+)
 from ecadd.circuit_ir import (
     ARITY,
     CNOT,
@@ -27,9 +36,10 @@ from ecadd.circuit_ir import (
     Group,
     decompose_toffoli,
     metrics,
+    reversed_runs,
 )
-from ecadd.qcformat import parse_qc, write_qc
-from ecadd.revsim import Simulator
+from ecadd.qcformat import SLICE_GATES, parse_qc, write_qc
+from ecadd.revsim import Simulator, to_lanes
 
 
 def three_wire(*names):
@@ -87,7 +97,7 @@ class TestCircuitBuilding:
             c.append(CNOT, 1, 1)  # duplicate wires
         c.append(TOFFOLI, 0, 1, 2)
         assert c.num_gates == 1
-        assert c.gate_tuples() == [(TOFFOLI, 0, 1, 2)]
+        assert gate_tuples(c.runs) == [(TOFFOLI, 0, 1, 2)]
 
     def test_groups(self):
         c = three_wire("a", "b")
@@ -198,7 +208,7 @@ class TestMetrics:
         assert (r.depth, r.t_depth) == (depth, bt_depth)
         assert (r.decomposed.depth, r.decomposed.t_depth) == (b_depth, bt_depth)
         assert [(s.label, s.counts, s.depth) for s in r.subcircuits] == subs
-        kinds = Counter(KIND_NAMES[g[0]] for g in c.gate_tuples())
+        kinds = Counter(KIND_NAMES[g[0]] for g in gate_tuples(c.runs))
         assert r.counts == {name: kinds[name] for name in KIND_NAMES}
         assert r.t_count == kinds["t"] + kinds["t_dagger"] \
             + 7 * kinds["toffoli"]
@@ -213,7 +223,7 @@ class TestMetrics:
         expanded = parse_qc(write_qc(c, clifford_t=True).decode())
         e = metrics(expanded)
         (depth, t_depth, _, _), _ = ref_metrics(expanded)
-        kinds = Counter(g[0] for g in expanded.gate_tuples())
+        kinds = Counter(g[0] for g in gate_tuples(expanded.runs))
         assert (e.t_count, e.t_depth) == (kinds[T] + kinds[T_DAGGER], t_depth)
         assert e.depth == e.decomposed.depth == depth
         assert e.t_count == r.t_count
@@ -283,7 +293,7 @@ class TestStructuralOps:
         # of the point addition uncomputes a product this way.
         for _ in range(50):
             c = random_classical_circuit(rng)
-            c.extend_raw(reversed(list(c.gate_tuples())))
+            c.add_runs(reversed_runs(c.runs))
             sim = Simulator(c)
             for _ in range(20):
                 s = rng.getrandbits(c.width)
@@ -301,3 +311,95 @@ class TestStructuralOps:
             # Group spans still cover whole gates.
             for grp in d.groups:
                 assert 0 <= grp.start <= grp.end <= d.num_gates
+
+
+@st.composite
+def run_sequences(draw):
+    """(width, segments): each segment is a group label, or None for
+    gates outside any group, with its runs as (kind, gate tuples).  Runs
+    of every kind, empty groups, and runs longer than a writer slice;
+    only NOT, CNOT and Toffoli when the draw is classical."""
+    width = draw(st.integers(3, 6))
+    classical = draw(st.booleans())
+    kinds = [NOT, CNOT, TOFFOLI] if classical else list(range(len(KIND_NAMES)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    segments = []
+    for _ in range(draw(st.integers(0, 6))):
+        label = draw(st.sampled_from((None, "S", "M", "IM")))
+        runs = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(kinds))
+            count = draw(st.sampled_from((1, 2, 7, SLICE_GATES + 3)))
+            runs.append((kind, [(kind, *rng.sample(range(width), ARITY[kind]))
+                                for _ in range(count)]))
+        segments.append((label, runs))
+    return width, segments
+
+
+def build_runs(width, segments, bulk):
+    """The circuit of ``segments``, appended gate by gate or, with
+    ``bulk``, as one ``add_runs`` call per run."""
+    c = Circuit()
+    for i in range(width):
+        c.add_wire(f"w{i}")
+    for label, runs in segments:
+        with c.group(label) if label else nullcontext():
+            for kind, gates in runs:
+                if bulk:
+                    cols = zip(*(g[1:] for g in gates))
+                    c.add_runs([(kind, tuple(array("I", col) for col in cols))])
+                else:
+                    for g in gates:
+                        c.append(*g)
+    return c
+
+
+class TestRunStore:
+    @settings(max_examples=60, deadline=None)
+    @given(run_sequences())
+    def test_gate_by_gate_and_bulk_runs_agree(self, drawn):
+        width, segments = drawn
+        gates = [g for _, runs in segments for _, run in runs for g in run]
+        one, bulk = (build_runs(width, segments, b) for b in (False, True))
+        assert gate_tuples(one.runs) == gate_tuples(bulk.runs) == gates
+        assert one.num_gates == bulk.num_gates == len(gates)
+        assert one.groups == bulk.groups
+        (depth, _, b_depth, bt_depth), subs = ref_metrics(one)
+        for c in (one, bulk):
+            r = metrics(c)
+            assert (r.depth, r.t_depth, r.decomposed.depth) == \
+                (depth, bt_depth, b_depth)
+            assert [(s.label, s.counts, s.depth) for s in r.subcircuits] == subs
+            assert write_qc(c) == ref_write_qc(one).encode()
+        assert metrics(one) == metrics(bulk)
+        assert write_qc(one, clifford_t=True) == write_qc(bulk, clifford_t=True)
+        if all(k in (NOT, CNOT, TOFFOLI) for k, *_ in gates):
+            draw = random.Random(len(gates)).getrandbits
+            states = [draw(width) for _ in range(5)]
+            want = to_lanes([ref_simulate(one, s) for s in states], width)
+            for c in (one, bulk):
+                got = Simulator(c).run_lanes(to_lanes(states, width), 31)
+                assert got == want
+
+    def test_append_after_a_replay_leaves_the_shared_runs_unchanged(self):
+        c = three_wire("a", "b", "c")
+        with c.group("F"):
+            c.append(CNOT, 0, 1)
+            c.append(CNOT, 1, 2)
+        fwd = list(c.runs)
+        before = gate_tuples(fwd)
+        # Each replay is followed by a gate of the shared run's kind,
+        # which must start a run of its own.
+        with c.group("IF"):
+            c.add_runs(fwd)
+        c.append(CNOT, 0, 2)
+        c.add_runs(fwd)
+        c.append(CNOT, 2, 0)
+        c.add_runs(reversed_runs(fwd))
+        c.append(CNOT, 1, 0)
+        assert gate_tuples(fwd) == before
+        assert c.runs[1] is c.runs[3] is fwd[0]
+        assert gate_tuples(c.runs) == (
+            before * 2 + [(CNOT, 0, 2)] + before + [(CNOT, 2, 0)]
+            + before[::-1] + [(CNOT, 1, 0)])
+        assert c.num_gates == 11

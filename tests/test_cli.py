@@ -3,11 +3,13 @@
 import hashlib
 import json
 import pathlib
+import re
 import shlex
 
 import pytest
 
 import ecadd.cli as cli
+from conftest import circuit_of, gate_tuples
 from ecadd.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -196,13 +198,6 @@ class TestVerify:
         assert main(self.BASE + ["--exhaustive"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
-    def test_readme_sampling_example_passes(self, capsys):
-        argv = ["verify", "--poly", "1+x^2+x^5", "--a2", "0x1", "--a6", "0x1",
-                "--x2", "0x6", "--y2", "0x10", "--samples", "1000",
-                "--seed", "7"]
-        assert main(argv) == EXIT_OK
-        assert "PASS: 1000 cases" in capsys.readouterr().out
-
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sample_count_below_one_rejected(self, count, capsys):
         assert main(self.BASE + ["--samples", count]) == EXIT_VALIDATION
@@ -252,11 +247,6 @@ class TestVerify:
             main(["verify", "--help"])
         assert exc.value.code == EXIT_OK
 
-    def test_b163_sampled_passes(self, capsys):
-        # A DSS field: sampled verification has no field-size cap.
-        assert main(B163_VERIFY) == EXIT_OK
-        assert "PASS: 128 cases" in capsys.readouterr().out
-
     @pytest.mark.parametrize("mutant, failure", [
         ("retarget", "X1 not restored"),
         ("drop", "output differs from the mixed-addition formula"),
@@ -266,9 +256,9 @@ class TestVerify:
         from ecadd.circuit_ir import CNOT, TOFFOLI
 
         # The first CNOT of the X block retargeted, or the first Toffoli
-        # dropped; the gate list is put back after the test.
+        # dropped, in a copy of the circuit.
         circ, report = b163_circuit
-        gates = list(circ.gate_tuples())
+        gates = gate_tuples(circ.runs)
         if mutant == "retarget":
             i = next(g.start for g in circ.groups if g.label == "X")
             kind, c, t = gates[i]
@@ -277,9 +267,9 @@ class TestVerify:
         else:
             i = next(k for k, g in enumerate(gates) if g[0] == TOFFOLI)
             del gates[i]
-        monkeypatch.setattr(circ, "_gates", gates)
+        mutant = circuit_of(circ.wires, gates)
         monkeypatch.setattr(cli, "synth_point_add",
-                            lambda *a, **k: (circ, report))
+                            lambda *a, **k: (mutant, report))
         assert main(B163_VERIFY) == EXIT_VERIFY_FAIL
         assert failure in capsys.readouterr().err
 
@@ -337,12 +327,12 @@ class TestVerify:
 
         def corrupted(curve, p2, **kwargs):
             circ, report = real(curve, p2, **kwargs)
-            gates = circ.gate_tuples()
+            gates = gate_tuples(circ.runs)
             for i, g in enumerate(gates):
                 if g[0] == TOFFOLI:
                     gates[i] = (TOFFOLI, g[1], g[2], (g[3] + 1) % circ.width)
                     break
-            return circ, report
+            return circuit_of(circ.wires, gates), report
 
         monkeypatch.setattr(cli, "synth_point_add", corrupted)
         code = main(self.BASE + ["--exhaustive"])
@@ -361,8 +351,24 @@ def readme_commands():
 
 
 def test_readme_commands_exit_zero(tmp_path, capsys, monkeypatch):
+    # Each verify line must also print its pass line: "PASS: N cases",
+    # with N its --samples count, or N >= 1 for an exhaustive check.
     monkeypatch.chdir(tmp_path)
     commands = readme_commands()
     assert commands
+    verified = 0
     for line in commands:
-        assert main(shlex.split(line)[1:]) == EXIT_OK, line
+        argv = shlex.split(line)[1:]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK, line
+        if argv[0] != "verify":
+            continue
+        verified += 1
+        out = capsys.readouterr().out
+        if "--samples" in argv:
+            want = argv[argv.index("--samples") + 1]
+            assert f"PASS: {want} cases" in out, line
+        else:
+            cases = re.search(r"PASS: (\d+) cases", out)
+            assert cases and int(cases.group(1)) >= 1, line
+    assert verified == 3

@@ -14,7 +14,7 @@ from conftest import (
     ref_identity,
     ref_max_degree,
 )
-from ecadd.circuit_ir import CircuitError, metrics
+from ecadd.circuit_ir import CircuitError, metrics, reversed_runs
 from ecadd.ecoracle import Curve, random_point
 from ecadd.fieldsynth import (
     RegisterOverlap,
@@ -198,8 +198,10 @@ class TestMultiplier:
     def test_reversed_gates_uncompute(self, f16, rng):
         n = 4
         c, (a, b, acc) = new_circuit(n, "a", "b", "acc")
-        gates = synth_mult(c, f16, a, b, acc)
-        c.extend_raw(reversed(gates))
+        block = synth_mult(c, f16, a, b, acc)
+        # len() of the returned runs is their gate count.
+        assert len(block) == c.num_gates == n * n + 2 * (n - 1)
+        c.add_runs(reversed_runs(block.runs))
         sim = Simulator(c)
         for _ in range(50):
             s = rng.getrandbits(3 * n)

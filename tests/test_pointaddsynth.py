@@ -3,12 +3,15 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import ecadd.pointaddsynth as pas
 from conftest import (
+    circuit_of,
     first_irreducible,
+    gate_tuples,
     read_register,
     ref_exhaustive_inputs,
     ref_field_mul,
@@ -112,6 +115,8 @@ class TestReversalBlocks:
     # undoes SM, the IX blocks of steps 15 and 13 the X blocks of steps
     # 2 and 5, IS the B squaring and Ia2 the a2 block.
     PAIRS = ((18, 0), (17, 1), (13, 7), (15, 5), (14, 6))
+    # IM undoes step 7's Z3p += A * Cp.
+    IM_PAIR = (12, 9)
 
     @staticmethod
     def n8_job():
@@ -125,15 +130,28 @@ class TestReversalBlocks:
 
     @pytest.mark.parametrize("job", ["toy", "n8"])
     def test_reversals_replay_the_forward_tuples(self, job):
+        # Each reversal block holds its forward block's run objects: the
+        # same runs for a linear block, and for IM the step-7 product's
+        # runs reversed, as views of the same columns read backwards.
         curve, p2 = toy_job() if job == "toy" else self.n8_job()
         circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
-        gates, groups = circ.gate_tuples(), circ.groups
+        spans = [runs for grp, runs in circ.spans() if grp is not None]
+        groups = circ.groups
         for rev, fwd in self.PAIRS:
             r, f = groups[rev], groups[fwd]
             assert r.label == "I" + f.label
             assert r.end - r.start == f.end - f.start > 0, r.label
-            assert all(a is b for a, b in zip(gates[r.start:r.end],
-                                              gates[f.start:f.end])), r.label
+            assert len(spans[rev]) == len(spans[fwd]) > 0, r.label
+            assert all(a is b for a, b in zip(spans[rev], spans[fwd])), r.label
+        im, product = self.IM_PAIR
+        assert (groups[im].label, groups[product].label) == ("IM", "M")
+        assert len(spans[im]) == len(spans[product])
+        for (rk, rcols), (fk, fcols) in zip(spans[im],
+                                            reversed(spans[product])):
+            assert rk == fk
+            assert all(rc.obj is fc and rc.tolist() == fc.tolist()[::-1]
+                       for rc, fc in zip(rcols, fcols))
+        assert gate_tuples(spans[im]) == gate_tuples(spans[product])[::-1]
 
 
 class TestA2Block:
@@ -156,7 +174,7 @@ class TestA2Block:
         entries = [(CNOT, oc + i, ob + j) for i in range(n)
                    for j in range(n)
                    if ref_field_mul(a2, 1 << i, fld.bits) >> j & 1]
-        gates = circ.gate_tuples()
+        gates = gate_tuples(circ.runs)
         blocks = {g.label: gates[g.start:g.end]
                   for g in circ.groups
                   if g.label in ("a2", "Ia2")}
@@ -239,7 +257,7 @@ class TestSemantics:
         n = 3
         curve, p2 = curve_with_point(n)
         circ, _ = synth_point_add(curve, p2)
-        gates = circ.gate_tuples()
+        gates = gate_tuples(circ.runs)
         for i, g in enumerate(gates):
             if g[0] == TOFFOLI:
                 # Retarget one Toffoli onto a neighboring wire.
@@ -248,6 +266,7 @@ class TestSemantics:
                             if (t + 1) % circ.width not in (g[1], g[2])
                             else (t + 2) % circ.width)
                 break
+        circ = circuit_of(circ.wires, gates)
         result = verify_point_add(circ, curve, p2, exhaustive=True)
         assert not result.ok
         assert result.failure
@@ -280,24 +299,22 @@ class TestSemantics:
 
 
 def mutations(circ, step):
-    """Mutate ``circ``'s gate list in place, yielding after each change
-    and undoing it after.  For every ``step``-th gate: the gate dropped,
-    a CNOT retargeted onto another wire, a Toffoli's target swapped with
-    its first control."""
-    gates = circ.gate_tuples()
+    """Mutants of ``circ``, as (name, circuit) pairs.  For every
+    ``step``-th gate: the gate dropped, a CNOT retargeted onto another
+    wire, a Toffoli's target swapped with its first control."""
+    gates = gate_tuples(circ.runs)
     for i in range(0, len(gates), step):
         g = gates[i]
-        del gates[i]
-        yield f"drop {i}"
-        gates.insert(i, g)
+        yield f"drop {i}", circuit_of(circ.wires, gates[:i] + gates[i + 1:])
         if g[0] == CNOT:
             t = (g[2] + 1) % circ.width
-            gates[i] = (CNOT, g[1], t if t != g[1] else (t + 1) % circ.width)
-            yield f"retarget {i}"
+            bad = (CNOT, g[1], t if t != g[1] else (t + 1) % circ.width)
+            yield f"retarget {i}", circuit_of(
+                circ.wires, gates[:i] + [bad] + gates[i + 1:])
         elif g[0] == TOFFOLI:
-            gates[i] = (TOFFOLI, g[3], g[2], g[1])
-            yield f"swap {i}"
-        gates[i] = g
+            yield f"swap {i}", circuit_of(
+                circ.wires, gates[:i] + [(TOFFOLI, g[3], g[2], g[1])]
+                + gates[i + 1:])
 
 
 def lane(i, m):
@@ -344,11 +361,12 @@ class TestLaneVerification:
         circ, _ = synth_point_add(curve, p2)
         chunks = (1, 4, pas.VERIFY_CHUNK)
         past_first_chunk = set()
-        for what in itertools.chain(["correct"], mutations(circ, step)):
-            want = ref_verify_point_add(circ, curve, p2, **kwargs)
+        for what, mutant in itertools.chain([("correct", circ)],
+                                            mutations(circ, step)):
+            want = ref_verify_point_add(mutant, curve, p2, **kwargs)
             for size in chunks:
                 monkeypatch.setattr(pas, "VERIFY_CHUNK", size)
-                got = verify_point_add(circ, curve, p2, **kwargs)
+                got = verify_point_add(mutant, curve, p2, **kwargs)
                 assert got == want, (what, size)
                 if not got.ok and got.cases > size:
                     past_first_chunk.add(size)
@@ -419,6 +437,27 @@ class TestSampledInputs:
         for p1 in pas._sampled_inputs(curve, p2, 256, 7):
             h.update(f"{p1.X.value:x},{p1.Y.value:x},{p1.Z.value:x};".encode())
         assert h.hexdigest() == digest
+
+
+class TestStoreSize:
+    def test_b163_circuit_holds_at_most_16_bytes_per_gate(self):
+        # The memory that the B-163 circuit holds, traced as what its
+        # deletion frees: its runs, their columns and its groups.
+        poly, a6, x2, y2 = DSS_CURVES[163]
+        fld = IrreduciblePoly.from_string(poly)
+        curve = Curve(fld.elem(1), fld.elem(a6))
+        p2 = AffinePoint(fld.elem(x2), fld.elem(y2))
+        tracemalloc.start()
+        try:
+            circ, _ = synth_point_add(curve, p2)
+            gates = circ.num_gates
+            alive, _ = tracemalloc.get_traced_memory()
+            del circ
+            freed = alive - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert gates > 200_000
+        assert freed <= 16 * gates, freed / gates
 
 
 class TestBounds:

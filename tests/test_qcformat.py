@@ -2,12 +2,13 @@
 
 import pathlib
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_classical_circuit, ref_write_qc
+from conftest import gate_tuples, random_classical_circuit, ref_write_qc
 from ecadd.circuit_ir import (
     ARITY,
     CNOT,
@@ -132,7 +133,7 @@ class TestWriter:
         assert begins == ["BEGIN A", "BEGIN A_2", "BEGIN A_2_2"]
         back = parse_qc(text)
         assert [g.label for g in back.groups] == ["A", "A_2", "A_2_2"]
-        assert back.gate_tuples() == c.gate_tuples()
+        assert gate_tuples(back.runs) == gate_tuples(c.runs)
 
     def test_clifford_t_toffoli_is_the_template(self):
         c = Circuit()
@@ -229,8 +230,9 @@ class TestSlices:
         c = Circuit()
         for i in range(32):
             c.add_wire(f"register_{i:02d}")
-        c.extend_raw((TOFFOLI, i % 32, (i + 1) % 32, (i + 5) % 32)
-                     for i in range(40_000))
+        ids = range(40_000)
+        c.add_runs([(TOFFOLI, tuple(array("I", ((i + r) % 32 for i in ids))
+                                    for r in (0, 1, 5)))])
         tracemalloc.start()
         try:
             data = write_qc(c, clifford_t=True)
