@@ -21,7 +21,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .ecoracle import AffinePoint, Curve, PointError
 from .gf2field import IrreduciblePoly, parse_element_text
@@ -55,12 +54,6 @@ class ValidationError(ValueError):
     pass
 
 
-@dataclass
-class JobSpec:
-    curve: Curve
-    p2: AffinePoint
-
-
 def _default_seed() -> int:
     """The seed of ``verify`` when ``--seed`` is not given."""
     text = os.environ.get("ECADD_SEED")
@@ -79,7 +72,8 @@ def _parse_field(poly_text: str) -> IrreduciblePoly:
         raise ValidationError(f"bad --poly: {exc}") from exc
 
 
-def _job_from_args(args) -> JobSpec:
+def _job_from_args(args) -> tuple[Curve, AffinePoint]:
+    """The curve and the fixed point P2 named by the arguments."""
     fld = _parse_field(args.poly)
 
     def elem(flag: str, text: str):
@@ -96,12 +90,11 @@ def _job_from_args(args) -> JobSpec:
     except PointError as exc:
         raise ValidationError(str(exc)) from exc
     p2 = AffinePoint(elem("--x2", args.x2), elem("--y2", args.y2))
-    return JobSpec(curve, p2)
+    return curve, p2
 
 
-def report_to_json(job: JobSpec, report) -> dict:
+def report_to_json(field: IrreduciblePoly, report) -> dict:
     """Stable-ordered JSON payload for a synthesis report."""
-    field = job.curve.field
     mult = multiplier_report(field)
     return {
         "schema": 1,
@@ -129,14 +122,14 @@ def _write_file(path: str, data: bytes):
 
 
 def cmd_synth(args) -> int:
-    job = _job_from_args(args)
+    curve, p2 = _job_from_args(args)
     out = args.out
     base = out[:-3] if out.endswith(".qc") else out
     if not os.path.basename(base):
         raise ValidationError(f"--out {out!r} names no file")
     try:
         circuit, report = synth_point_add(
-            job.curve, job.p2, allow_off_curve=args.allow_off_curve)
+            curve, p2, allow_off_curve=args.allow_off_curve)
     except OffCurveError as exc:
         raise ValidationError(
             f"{exc} (pass --allow-off-curve to synthesize anyway)") from exc
@@ -146,7 +139,7 @@ def cmd_synth(args) -> int:
     report_path = base + ".report.json"
     _write_file(qc_path, write_qc(circuit, clifford_t=args.decompose))
     _write_file(report_path,
-                (json.dumps(report_to_json(job, report), indent=2)
+                (json.dumps(report_to_json(curve.field, report), indent=2)
                  + "\n").encode())
     print(f"wrote {qc_path} and {report_path}")
     return EXIT_OK
@@ -191,14 +184,14 @@ def cmd_verify(args) -> int:
     if not args.exhaustive and args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     seed = _default_seed() if args.seed is None else args.seed
-    job = _job_from_args(args)
-    if args.exhaustive and job.curve.field.n > EXHAUSTIVE_MAX_N:
+    curve, p2 = _job_from_args(args)
+    if args.exhaustive and curve.field.n > EXHAUSTIVE_MAX_N:
         raise ValidationError(
             f"exhaustive verification is limited to n <= {EXHAUSTIVE_MAX_N}")
     try:
-        circuit, _ = synth_point_add(job.curve, job.p2)
+        circuit, _ = synth_point_add(curve, p2)
         result = verify_point_add(
-            circuit, job.curve, job.p2,
+            circuit, curve, p2,
             exhaustive=args.exhaustive,
             samples=args.samples,
             seed=seed,

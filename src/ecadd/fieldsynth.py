@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 from .circuit_ir import CNOT, TOFFOLI, Circuit, CircuitError, GateRuns
 from .edgecolor import color_edges, graph_of_matrix
@@ -60,29 +62,35 @@ def _require_disjoint(*regs: RegisterRef):
             seen.add(w)
 
 
-def linear_layers(matrix: BinMatrix) -> list[list[tuple[int, int]]]:
-    """CNOT layers (source column, target row) for a linear map, grouped
-    by color class of a minimal edge coloring."""
+@lru_cache(maxsize=8)
+def _cnot_order(matrix: BinMatrix) -> tuple[array, array]:
+    """The CNOTs of ``dst ^= M * src`` as (source column, target row)
+    columns: color class by color class of a minimal edge coloring, each
+    class in edge order."""
     graph = graph_of_matrix(matrix)
-    return color_edges(graph).layers(graph)
+    coloring = color_edges(graph)
+    cols: list[list[int]] = [[] for _ in range(coloring.num_colors)]
+    rows: list[list[int]] = [[] for _ in range(coloring.num_colors)]
+    for (i, j), color in zip(graph.edges, coloring.colors):
+        cols[color].append(i)
+        rows[color].append(j)
+    return (array("I", chain.from_iterable(cols)),
+            array("I", chain.from_iterable(rows)))
 
 
 def synth_linear(circuit: Circuit, matrix: BinMatrix, src: RegisterRef,
-                 dst: RegisterRef, layers=None) -> GateRuns:
+                 dst: RegisterRef) -> GateRuns:
     """Append ``dst ^= M * src`` (weight(M) CNOTs, depth max_degree(M))
     as one CNOT run, layer by layer, and return it.  Its CNOTs commute
     and src and dst are disjoint, so a caller may replay the run to undo
-    the block."""
+    the block.  The CNOT order is worked out once per matrix and cached,
+    so blocks of the same map share one edge coloring."""
     if matrix.n != src.n or matrix.n != dst.n:
         raise CircuitError("matrix dimension does not match register width")
     _require_disjoint(src, dst)
-    if layers is None:
-        layers = linear_layers(matrix)
-    sw, dw = src.wires, dst.wires
-    block = GateRuns(((CNOT, (
-        array("I", [sw[i] for layer in layers for i, _ in layer]),
-        array("I", [dw[j] for layer in layers for _, j in layer]),
-    )),))
+    cols, rows = _cnot_order(matrix)
+    block = GateRuns(((CNOT, (array("I", map(src.wires.__getitem__, cols)),
+                              array("I", map(dst.wires.__getitem__, rows)))),))
     circuit.add_runs(block.runs)
     return block
 

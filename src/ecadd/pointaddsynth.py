@@ -50,7 +50,6 @@ from .ecoracle import (
 )
 from .fieldsynth import (
     add_register,
-    linear_layers,
     standalone_multiplier,
     synth_add_inplace,
     synth_linear,
@@ -99,11 +98,11 @@ def multiplier_report(field: IrreduciblePoly) -> ResourceReport:
     return metrics(standalone_multiplier(field))
 
 
-def _linear_block(circuit, label, matrix, src, dst, layers) -> tuple:
+def _linear_block(circuit, label, matrix, src, dst) -> tuple:
     """Emit one labeled linear block (an empty group for a zero matrix)
     and return its runs."""
     with circuit.group(label):
-        return synth_linear(circuit, matrix, src, dst, layers).runs
+        return synth_linear(circuit, matrix, src, dst).runs
 
 
 def _replay(circuit, label, runs):
@@ -147,14 +146,6 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     m_xyz = matrix_of_const_mul(x2 + y2) @ m_sq
     m_a2 = matrix_of_const_mul(a2)
 
-    # Edge colorings, computed once per distinct matrix.
-    lay_sq = linear_layers(m_sq)
-    lay_sqrt = linear_layers(m_sqrt)
-    lay_x2 = linear_layers(m_x2)
-    lay_sm = linear_layers(m_sm)
-    lay_xyz = linear_layers(m_xyz)
-    lay_a2 = linear_layers(m_a2)
-
     c = Circuit()
     regs = {name: add_register(c, name, n) for name in REGISTER_ORDER}
     rx1, ry1, rz1 = regs["X1"], regs["Y1"], regs["Z1"]
@@ -163,19 +154,19 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     rz3p, ry3 = regs["Z3p"], regs["Y3"]
 
     # 1: Y1 <- A = Y1 + y2 * Z1^2
-    sm_runs = _linear_block(c, "SM", m_sm, rz1, ry1, lay_sm)
+    sm_runs = _linear_block(c, "SM", m_sm, rz1, ry1)
     # 2: X1 <- B = X1 + x2 * Z1
-    xz1_runs = _linear_block(c, "X", m_x2, rz1, rx1, lay_x2)
+    xz1_runs = _linear_block(c, "X", m_x2, rz1, rx1)
     # 3: C <- B * Z1
     with c.group("M"):
         synth_mult(c, fld, rx1, rz1, rc)
     # 4: Z3 <- C^2, X3 <- A^2, Bsq <- B^2
-    _linear_block(c, "S", m_sq, rc, rz3, lay_sq)
-    _linear_block(c, "S", m_sq, ry1, rx3, lay_sq)
-    sb_runs = _linear_block(c, "S", m_sq, rx1, rbsq, lay_sq)
+    _linear_block(c, "S", m_sq, rc, rz3)
+    _linear_block(c, "S", m_sq, ry1, rx3)
+    sb_runs = _linear_block(c, "S", m_sq, rx1, rbsq)
     # 5: Bsq += a2 * C;  D <- x2 * Z3
-    a2_runs = _linear_block(c, "a2", m_a2, rc, rbsq, lay_a2)
-    xz3_runs = _linear_block(c, "X", m_x2, rz3, rd, lay_x2)
+    a2_runs = _linear_block(c, "a2", m_a2, rc, rbsq)
+    xz3_runs = _linear_block(c, "X", m_x2, rz3, rd)
     # 6: Bsq += A;  Cp <- C;  Z3p <- Z3
     synth_add_inplace(c, ry1, rbsq)
     synth_add_inplace(c, rc, rcp)
@@ -185,7 +176,7 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
         synth_mult(c, fld, rc, rbsq, rx3)
     with c.group("M"):
         acp_runs = synth_mult(c, fld, ry1, rcp, rz3p).runs
-    _linear_block(c, "xyZ", m_xyz, rz3, ry3, lay_xyz)
+    _linear_block(c, "xyZ", m_xyz, rz3, ry3)
     # 8: D += X3
     synth_add_inplace(c, rx3, rd)
     # 9: Y3 += (D + X3) * (A*C + Z3)
@@ -205,7 +196,7 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     # 14: reverse the B squaring; C += sqrt(Z3) clears C.
     # (The A^2 share of step 4 is part of the output X3 and must stay.)
     _replay(c, "IS", sb_runs)
-    _linear_block(c, "SR", m_sqrt, rz3, rc, lay_sqrt)
+    _linear_block(c, "SR", m_sqrt, rz3, rc)
     # 15: reverse step 2
     _replay(c, "IX", xz1_runs)
     # 16: reverse step 1

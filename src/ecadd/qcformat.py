@@ -21,10 +21,12 @@ Lines use LF endings; ``#`` starts a comment.  A circuit's inputs and
 outputs are its wires in wire order, so ``.i`` and ``.o``, when present,
 repeat the ``.v`` names in ``.v`` order.
 
-The writer renders each group of a circuit as a named subcircuit.  Group
-labels repeat (e.g. several squaring blocks), so a name already taken
-gets the first free ``_2``, ``_3``, ... suffix, while the first
-occurrence keeps its name verbatim.  The lines of a run of gates come
+The writer renders each group of a circuit as a named subcircuit.  A
+label that is not a name, or is one of the keywords ``BEGIN`` and
+``END``, gets a ``G_`` prefix.  Group labels repeat (e.g. several
+squaring blocks), so a name already taken gets the first free ``_2``,
+``_3``, ... suffix, while the first occurrence keeps its name
+verbatim.  The lines of a run of gates come
 from one comprehension over its wire columns, each line one compiled
 f-string (a Toffoli's 15 Clifford+T lines, too).  ``write_qc`` returns
 the file's bytes, rendered a slice of gates at a time into one buffer,
@@ -90,7 +92,9 @@ def _toffoli_clifford_t(a: str, b: str, c: str) -> str:
 
 def _sanitize(label: str) -> str:
     s = re.sub(r"[^A-Za-z0-9_]", "_", label)
-    if not s or not _NAME_RE.match(s):
+    # A block named BEGIN or END could not be invoked: a bare keyword in
+    # the main block opens or closes a block.
+    if not _NAME_RE.match(s) or s in ("BEGIN", "END"):
         s = "G_" + s
     return s
 

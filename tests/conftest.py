@@ -399,7 +399,9 @@ def ref_write_qc(circuit: Circuit) -> str:
     taken: set[str] = set()
     for grp in circuit.groups:
         base = re.sub(r"[^A-Za-z0-9_]", "_", grp.label)
-        if not base or not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", base):
+        # BEGIN and END are keywords, not names a block can be invoked by.
+        if (not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", base)
+                or base in ("BEGIN", "END")):
             base = "G_" + base
         # A name already taken gets the smallest free suffix from _2 on.
         name, k = base, 2

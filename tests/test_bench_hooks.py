@@ -43,8 +43,14 @@ def test_traced_synth_job_counts_the_bytes_written(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["exit"] == 0
-    assert result["trace"]["counts"]["qcformat.bytes"] == qc.stat().st_size
+    counts = result["trace"]["counts"]
+    assert counts["qcformat.bytes"] == qc.stat().st_size
     assert "T* " not in qc.read_text()
+    # The coloring and emission counts of this job, which read 0 if the
+    # work stops going through the names that the tracer wraps.
+    assert counts["edgecolor.edges"] == 25
+    assert counts["edgecolor.colors"] == 12
+    assert counts["fieldsynth.gates"] == 126
 
 
 def test_traced_verify_job():

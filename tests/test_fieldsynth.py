@@ -4,21 +4,23 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     first_irreducible,
-    random_invertible,
+    gate_tuples,
     ref_apply,
     ref_entries,
     ref_field_mul,
     ref_identity,
     ref_max_degree,
 )
-from ecadd.circuit_ir import CircuitError, metrics, reversed_runs
+from ecadd.circuit_ir import CNOT, CircuitError, metrics, reversed_runs
 from ecadd.ecoracle import Curve, random_point
+from ecadd.edgecolor import color_edges, graph_of_matrix
 from ecadd.fieldsynth import (
     RegisterOverlap,
-    linear_layers,
     new_circuit,
     standalone_multiplier,
     synth_add_inplace,
@@ -57,13 +59,6 @@ class TestLinearSynthesis:
                 assert sa == a, "source register must be preserved"
                 assert sb == b ^ ref_apply(m, a)
 
-    def test_precomputed_layers_accepted(self, rng):
-        m = random_invertible(5, rng)
-        layers = linear_layers(m)
-        c, (src, dst) = new_circuit(5, "s", "d")
-        synth_linear(c, m, src, dst, layers)
-        assert metrics(c).counts["cnot"] == m.weight
-
     def test_dimension_mismatch(self, f8):
         c, (src, dst) = new_circuit(4, "s", "d")
         with pytest.raises(CircuitError):
@@ -85,12 +80,34 @@ class TestLinearSynthesis:
             assert run2(c, a, b, n) == (a, a ^ b)
 
 
+def square_matrices():
+    """Random n x n matrices, n = 1..8, the zero and identity maps among
+    them."""
+    return st.integers(1, 8).flatmap(lambda n: st.one_of(
+        st.just(BinMatrix(n, (0,) * n)),
+        st.just(ref_identity(n)),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+        .map(lambda rows: BinMatrix(n, tuple(rows)))))
+
+
+def assert_run_follows_layers(m, layers):
+    """The CNOTs that synth_linear emits for ``m`` are ``layers``
+    flattened, source column and target row mapped through the
+    registers.  The source register does not start at wire 0, so a
+    column that skips the mapping shows."""
+    c, (dst, src) = new_circuit(m.n, "d", "s")
+    synth_linear(c, m, src, dst)
+    assert gate_tuples(c.runs) == [(CNOT, src.wires[i], dst.wires[j])
+                                   for layer in layers for i, j in layer]
+
+
 class TestPinnedLayers:
-    # sha256 of repr(linear_layers(m)) for the six distinct linear maps of
-    # point addition on y^2 + xy = x^3 + x^2 + 1 (a2 = 1, so the a2 map is
-    # the identity) at a seeded point.  The layers fix the gate order of
-    # every linear block, so a change to the edge coloring that moves any
-    # CNOT shows here.
+    # sha256 of repr(color_edges(g).layers(g)), g = graph_of_matrix(m),
+    # for the six distinct linear maps of point addition on
+    # y^2 + xy = x^3 + x^2 + 1 (a2 = 1, so the a2 map is the identity) at
+    # a seeded point.  The layers fix the gate order of every linear
+    # block, so a change to the edge coloring that moves any CNOT shows
+    # here, and each pinned matrix's emitted run is checked against them.
     PINNED = {
         "1+x^3+x^6+x^7+x^163": {
             "S": "836b44fe57efb3664c88abdd2da1c239734bcd82afff54c5d0d404a186e95480",
@@ -124,10 +141,19 @@ class TestPinnedLayers:
             "xyZ": matrix_of_const_mul(p2.x + p2.y) @ sq,
             "a2": matrix_of_const_mul(curve.a2),
         }
-        got = {label: hashlib.sha256(
-                   repr(linear_layers(m)).encode()).hexdigest()
-               for label, m in matrices.items()}
+        got = {}
+        for label, m in matrices.items():
+            g = graph_of_matrix(m)
+            layers = color_edges(g).layers(g)
+            got[label] = hashlib.sha256(repr(layers).encode()).hexdigest()
+            assert_run_follows_layers(m, layers)
         assert got == self.PINNED[poly]
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices())
+    def test_emitted_run_follows_layers(self, m):
+        g = graph_of_matrix(m)
+        assert_run_follows_layers(m, color_edges(g).layers(g))
 
 
 class TestFieldOps:

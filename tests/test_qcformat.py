@@ -51,8 +51,9 @@ def small_circuit():
 @st.composite
 def writer_circuits(draw):
     """A random circuit over all eight gate kinds, with empty groups (a
-    trailing one included), gates outside any group, repeated labels and
-    labels that look like a repeated label's suffixed name."""
+    trailing one included), gates outside any group, repeated labels,
+    labels that look like a repeated label's suffixed name and the
+    keywords BEGIN and END as labels."""
     width = draw(st.integers(1, 5))
     c = Circuit()
     for i in range(width):
@@ -68,7 +69,8 @@ def writer_circuits(draw):
         if draw(st.booleans()):
             gate()
         else:
-            labels = ("S", "M", "IM", "a-2", "S_2", "a_2", "S_3")
+            labels = ("S", "M", "IM", "a-2", "S_2", "a_2", "S_3", "BEGIN",
+                      "END")
             with c.group(draw(st.sampled_from(labels))):
                 for _ in range(draw(st.integers(0, 4))):
                     gate()
@@ -133,6 +135,23 @@ class TestWriter:
         assert begins == ["BEGIN A", "BEGIN A_2", "BEGIN A_2_2"]
         back = parse_qc(text)
         assert [g.label for g in back.groups] == ["A", "A_2", "A_2_2"]
+        assert gate_tuples(back.runs) == gate_tuples(c.runs)
+
+    def test_keyword_labels_round_trip(self):
+        # A block named END or BEGIN would end or open a block where the
+        # main block invokes it, so both keywords take the G_ prefix.
+        c = Circuit()
+        c.add_wire("a")
+        c.add_wire("b")
+        for label in ("END", "BEGIN", "G_END"):
+            with c.group(label):
+                c.append(CNOT, 0, 1)
+        text = write_qc(c).decode()
+        begins = [ln for ln in text.splitlines() if ln.startswith("BEGIN ")]
+        assert begins == ["BEGIN G_END", "BEGIN G_BEGIN", "BEGIN G_END_2"]
+        back = parse_qc(text)
+        assert [g.label for g in back.groups] == ["G_END", "G_BEGIN",
+                                                  "G_END_2"]
         assert gate_tuples(back.runs) == gate_tuples(c.runs)
 
     def test_clifford_t_toffoli_is_the_template(self):
