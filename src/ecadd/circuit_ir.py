@@ -5,13 +5,13 @@ one kind: a run is ``(kind, columns)`` with one ``array('I')`` of wire
 ids per wire role (``ARITY[kind]`` columns), so a gate costs 4 bytes per
 wire and million-gate circuits stay small.  Synthesis appends whole
 runs, and a run may be shared by several blocks and circuits, so a run
-that has been added or that ends a group is never extended again.
+that has been added or that ends a block is never extended again.
 
-Labeled gate-index spans ("groups") mark logical subcircuits.  They form
-one flat list in gate order and never nest, like the blocks of a ``.qc``
-file; writers render each group as a named block.  A group boundary
-always starts a new run, so each group and each gap between groups is a
-list of whole runs (``Circuit.spans``).
+The runs are kept in blocks (``Circuit.blocks``): one flat list of
+``(label, runs)`` in gate order, where a labeled block is a logical
+subcircuit and a block labeled None holds the gates between two labeled
+ones.  Labeled blocks never nest, like the blocks of a ``.qc`` file;
+writers render each as a named subcircuit.
 
 Metrics are computed by earliest-start scheduling: a gate starts one time
 unit after the latest finish time on any of its wires.  There is one
@@ -27,9 +27,9 @@ figures are the circuit's own.
 ``metrics`` takes every figure in one pass over the runs, with one
 inner loop per gate kind.  Alongside the three global per-wire levels
 it keeps a fourth, relative level, reset to zero on every wire at the
-start of each group; the largest relative level when the group ends is
-the group's own depth, the depth it would have as a circuit by itself.
-Per-kind counts of the circuit and of each group come from the same
+start of each block; the largest relative level when the block ends is
+the block's own depth, the depth it would have as a circuit by itself.
+Per-kind counts of the circuit and of each block come from the same
 pass.
 """
 
@@ -76,14 +76,8 @@ TOFFOLI_DECOMP_T_DEPTH = 4
 
 
 class CircuitError(ValueError):
-    """Malformed circuit operation (bad wires, arity, or a nested group)."""
-
-
-@dataclass(frozen=True)
-class Group:
-    label: str
-    start: int  # gate index, inclusive
-    end: int    # gate index, exclusive
+    """Malformed circuit operation (bad wires, arity, a nested group or a
+    label that is not a str)."""
 
 
 @dataclass(frozen=True)
@@ -107,19 +101,18 @@ def reversed_runs(runs) -> list:
 
 
 class Circuit:
-    """Gates over named wires, stored as single-kind runs, with labeled
-    subcircuit spans; its inputs and outputs are its wires, in wire
-    order."""
+    """Gates over named wires, stored as single-kind runs in a flat list
+    of blocks ``(label, runs)``; its inputs and outputs are its wires,
+    in wire order."""
 
     def __init__(self):
         self.wires: list[str] = []
         self._wire_names: set[str] = set()
-        self.runs: list[tuple] = []
+        # Always ends with an unlabeled block, except inside ``group``.
+        self.blocks: list[tuple] = [(None, [])]
         self.num_gates = 0
-        self.groups: list[Group] = []
-        self._in_group = False
         # The last run, while ``append`` may still extend it: a run that
-        # was added whole, or that ends at a group boundary, is closed.
+        # was added whole, or that ends at a block boundary, is closed.
         self._open = None
 
     # -- wires ----------------------------------------------------------
@@ -137,6 +130,11 @@ class Circuit:
         return len(self.wires)
 
     # -- gates ----------------------------------------------------------
+
+    @property
+    def runs(self) -> list:
+        """Every run of the circuit, in gate order."""
+        return [run for _, runs in self.blocks for run in runs]
 
     def append(self, kind: int, *wires: int):
         """Append one gate, checked: to the open run if it is of the same
@@ -159,74 +157,59 @@ class Circuit:
                 col.append(w)
         else:
             self._open = run = (kind, tuple(array("I", (w,)) for w in wires))
-            self.runs.append(run)
+            self.blocks[-1][1].append(run)
         self.num_gates += 1
 
     def add_runs(self, runs):
         """Append whole pre-validated runs (synthesis fast path).  They
         are shared, not copied, and none is extended afterwards; empty
         runs are dropped."""
+        block = self.blocks[-1][1]
         for run in runs:
             count = len(run[1][0])
             if count:
-                self.runs.append(run)
+                block.append(run)
                 self.num_gates += count
         self._open = None
 
-    def spans(self):
-        """``(group, runs)`` for each group and each gap before, between
-        and after the groups, in gate order; ``group`` is None for a gap.
-        Both are lists of whole runs, since a group boundary starts a
-        new run."""
-        runs = iter(self.runs)
-
-        def take(count: int) -> list:
-            out = []
-            while count > 0:
-                run = next(runs)
-                out.append(run)
-                count -= len(run[1][0])
-            return out
-
-        pos = 0
-        for grp in self.groups:
-            yield None, take(grp.start - pos)
-            yield grp, take(grp.end - grp.start)
-            pos = grp.end
-        yield None, take(self.num_gates - pos)
-
-    # -- groups ----------------------------------------------------------
+    # -- blocks ----------------------------------------------------------
 
     @contextmanager
     def group(self, label: str):
-        """Label the gates appended inside the ``with`` block.  The group
-        is recorded when the block exits normally; groups do not nest."""
-        if self._in_group:
+        """Put the gates appended inside the ``with`` block in a block
+        labeled ``label``; labeled blocks do not nest.  If the body
+        raises, its gates stay in the circuit, unlabeled."""
+        if not isinstance(label, str):
+            raise CircuitError(f"group label {label!r} is not a str")
+        if self.blocks[-1][0] is not None:
             raise CircuitError(f"group {label!r} opened inside another group")
-        self._in_group = True
+        runs = []
+        self.blocks.append((label, runs))
         self._open = None
-        start = self.num_gates
         try:
             yield
+        except BaseException:
+            self.blocks.pop()
+            self.blocks[-1][1].extend(runs)
+            raise
         finally:
-            self._in_group = False
             self._open = None
-        self.groups.append(Group(label, start, self.num_gates))
+        self.blocks.append((None, []))
 
 
 def decompose_toffoli(circuit: Circuit) -> Circuit:
     """Rewrite every Toffoli as its 15-gate Clifford+T template.
 
-    Group spans are remapped so labeled blocks still cover the same
-    logical gates; runs of other kinds are shared with ``circuit``.
+    Each block keeps its label and holds its own gates, a Toffoli's as
+    its template; runs of other kinds are shared with ``circuit``.
     ``qcformat.write_qc(circuit, clifford_t=True)`` returns the .qc
     bytes of this circuit without building it.
     """
     out = Circuit()
     for name in circuit.wires:
         out.add_wire(name)
-    for grp, runs in circuit.spans():
-        with out.group(grp.label) if grp else nullcontext():
+    for label, runs in circuit.blocks:
+        with nullcontext() if label is None else out.group(label):
             for run in runs:
                 kind, cols = run
                 if kind != TOFFOLI:
@@ -293,7 +276,7 @@ def _sweep(runs, levels, total):
     ``levels`` holds the three global per-wire levels: depth, Clifford+T
     depth and T-depth, where a Toffoli takes 8 depth units and 4
     T-stages on all three wires.  They are advanced in place, and the
-    span's per-kind counts are added to ``total``.  Returns the span's
+    block's per-kind counts are added to ``total``.  Returns the block's
     counts and its own depth, measured on levels that start at zero on
     every wire.
     """
@@ -351,17 +334,17 @@ def _sweep(runs, levels, total):
 def metrics(circuit: Circuit) -> ResourceReport:
     """Exact resource report for a circuit, in one pass over its runs.
 
-    The runs are taken in spans: each group, and the gaps between
-    them.  Every span advances the global schedule and yields
-    its own counts and depth; only the groups' figures are reported.
+    The runs are taken block by block.  Every block advances the global
+    schedule and yields its own counts and depth; only the labeled
+    blocks' figures are reported.
     """
     levels = tuple([0] * circuit.width for _ in range(3))
     counts = [0] * len(KIND_NAMES)
     subs = []
-    for grp, runs in circuit.spans():
+    for label, runs in circuit.blocks:
         gcounts, gdepth = _sweep(runs, levels, counts)
-        if grp is not None:
-            subs.append(GroupMetrics(grp.label,
+        if label is not None:
+            subs.append(GroupMetrics(label,
                                      dict(zip(KIND_NAMES, gcounts)), gdepth))
     depth, c_depth, t_depth = (max(lv, default=0) for lv in levels)
 

@@ -21,17 +21,17 @@ Lines use LF endings; ``#`` starts a comment.  A circuit's inputs and
 outputs are its wires in wire order, so ``.i`` and ``.o``, when present,
 repeat the ``.v`` names in ``.v`` order.
 
-The writer renders each group of a circuit as a named subcircuit.  A
-label that is not a name, or is one of the keywords ``BEGIN`` and
-``END``, gets a ``G_`` prefix.  Group labels repeat (e.g. several
-squaring blocks), so a name already taken gets the first free ``_2``,
-``_3``, ... suffix, while the first occurrence keeps its name
-verbatim.  The lines of a run of gates come
-from one comprehension over its wire columns, each line one compiled
-f-string (a Toffoli's 15 Clifford+T lines, too).  ``write_qc`` returns
-the file's bytes, rendered a slice of gates at a time into one buffer,
-so the text is held once; ``parse_qc`` takes the decoded text and
-builds the circuit's runs.
+The writer renders each labeled block of a circuit as a named
+subcircuit.  A label that is not a name, or is one of the keywords
+``BEGIN`` and ``END``, gets a ``G_`` prefix.  Block labels repeat (e.g.
+several squaring blocks), so a name already taken gets the first free
+``_2``, ``_3``, ... suffix, while the first occurrence keeps its name
+verbatim.  The lines of a run of gates come from one comprehension
+over its wire columns, each line one compiled f-string (a Toffoli's 15
+Clifford+T lines, too).  ``write_qc`` returns the file's bytes,
+rendered a slice of gates at a time into one buffer, so the text is
+held once; ``parse_qc`` takes the decoded text and builds the circuit's
+runs.
 """
 
 from __future__ import annotations
@@ -141,37 +141,41 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> bytes:
     """Render a circuit as the bytes of a .qc file (deterministic).
 
     The file is written into one buffer, whose bytes are returned
-    without a copy: the header, each group as a named subcircuit, then
-    the main block, whose gaps between groups come from the same list
-    of spans.  Gates are rendered and encoded SLICE_GATES at a time, so
-    no other copy of the text is held.  With ``clifford_t`` each Toffoli
-    is written as its 15-gate Clifford+T template
-    (``circuit_ir.TOFFOLI_TEMPLATE``) as it is rendered, giving the same
-    bytes as writing ``decompose_toffoli(circuit)``.
+    without a copy: the header, each labeled block as a named
+    subcircuit, then the main block, which writes each unlabeled
+    block's gates and each labeled block's name in block order.  Gates
+    are rendered and encoded SLICE_GATES at a time, so no other copy of
+    the text is held.  With ``clifford_t`` each Toffoli is written as
+    its 15-gate Clifford+T template (``circuit_ir.TOFFOLI_TEMPLATE``) as
+    it is rendered, giving the same bytes as writing
+    ``decompose_toffoli(circuit)``.
     """
     names = circuit.wires
-    spans = list(circuit.spans())
     out = io.BytesIO()
     joined = " ".join(names)
     out.write(f".v {joined}\n.i {joined}\n.o {joined}\n\n".encode())
-    blocks = []
+    block_names = []
     taken: set[str] = set()
-    for grp, runs in spans[1::2]:
-        base = _sanitize(grp.label)
+    for label, runs in circuit.blocks:
+        if label is None:
+            continue
+        base = _sanitize(label)
         name, k = base, 2
         while name in taken:
             name = f"{base}_{k}"
             k += 1
         taken.add(name)
-        blocks.append(name)
+        block_names.append(name)
         out.write(f"BEGIN {name}\n".encode())
         _write_runs(out, runs, names, clifford_t)
         out.write(f"END {name}\n\n".encode())
     out.write(b"BEGIN\n")
-    for (_, gap), name in zip(spans[::2], blocks):
-        _write_runs(out, gap, names, clifford_t)
-        out.write(f"{name}\n".encode())
-    _write_runs(out, spans[-1][1], names, clifford_t)
+    invocations = iter(block_names)
+    for label, runs in circuit.blocks:
+        if label is None:
+            _write_runs(out, runs, names, clifford_t)
+        else:
+            out.write(f"{next(invocations)}\n".encode())
     out.write(b"END\n")
     return out.getvalue()
 
@@ -209,7 +213,7 @@ def _parse_gate(tokens, lineno, wire_ids) -> tuple:
 
 def parse_qc(text: str) -> Circuit:
     """Parse .qc text into a circuit, in which each subcircuit invocation
-    is a labeled group of the subcircuit's gates.
+    is a labeled block of the subcircuit's gates.
 
     Raises QcSyntaxError with a line number on malformed input, which
     includes an ``.i`` or ``.o`` line that does not list the ``.v`` names

@@ -40,8 +40,7 @@ class Simulator:
     """Reusable simulator for a fixed classical circuit."""
 
     def __init__(self, circuit: Circuit):
-        # The circuit's own run list, not a copy: the circuit must stay
-        # fixed.
+        # The circuit's runs are shared, not copied: it must stay fixed.
         self._runs = circuit.runs
         for kind, _ in self._runs:
             if kind not in (NOT, CNOT, TOFFOLI):

@@ -248,6 +248,19 @@ def gate_tuples(runs) -> list[tuple]:
     return [(kind, *wires) for kind, cols in runs for wires in zip(*cols)]
 
 
+def block_spans(circuit: Circuit) -> list[tuple]:
+    """``(label, start, end)`` for each labeled block of a circuit, as
+    gate indices into ``gate_tuples(circuit.runs)``, end exclusive."""
+    spans = []
+    pos = 0
+    for label, runs in circuit.blocks:
+        end = pos + sum(len(cols[0]) for _, cols in runs)
+        if label is not None:
+            spans.append((label, pos, end))
+        pos = end
+    return spans
+
+
 def circuit_of(wires, gates) -> Circuit:
     """A group-free circuit over the wire names ``wires`` with the given
     gate tuples, each appended (and checked) one at a time."""
@@ -355,17 +368,16 @@ def ref_schedule(gates, width):
 
 def ref_metrics(circuit: Circuit):
     """((depth, t_depth, block_depth, block_t_depth), subcircuits) with one
-    (label, counts, depth) per group, each group scheduled
+    (label, counts, depth) per labeled block, each block scheduled
     again on its own slice of the gate list."""
     gates = gate_tuples(circuit.runs)
     subs = []
-    for grp in circuit.groups:
-        span = gates[grp.start:grp.end]
+    for label, start, end in block_spans(circuit):
+        span = gates[start:end]
         counts = {name: 0 for name in KIND_NAMES}
         for g in span:
             counts[KIND_NAMES[g[0]]] += 1
-        subs.append((grp.label, counts,
-                     ref_schedule(span, circuit.width)[0]))
+        subs.append((label, counts, ref_schedule(span, circuit.width)[0]))
     return ref_schedule(gates, circuit.width), subs
 
 
@@ -384,7 +396,7 @@ def _ref_gate_line(kind: int, names) -> str:
 
 def ref_write_qc(circuit: Circuit) -> str:
     """The .qc text of a circuit, built gate by gate into one list of
-    lines; groups become named subcircuits."""
+    lines; labeled blocks become named subcircuits."""
     names = circuit.wires
 
     lines = [
@@ -397,8 +409,8 @@ def ref_write_qc(circuit: Circuit) -> str:
     gates = gate_tuples(circuit.runs)
     spans = []  # (start, end, unique_name)
     taken: set[str] = set()
-    for grp in circuit.groups:
-        base = re.sub(r"[^A-Za-z0-9_]", "_", grp.label)
+    for label, start, end in block_spans(circuit):
+        base = re.sub(r"[^A-Za-z0-9_]", "_", label)
         # BEGIN and END are keywords, not names a block can be invoked by.
         if (not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", base)
                 or base in ("BEGIN", "END")):
@@ -409,9 +421,9 @@ def ref_write_qc(circuit: Circuit) -> str:
             name = f"{base}_{k}"
             k += 1
         taken.add(name)
-        spans.append((grp.start, grp.end, name))
+        spans.append((start, end, name))
         lines.append(f"BEGIN {name}")
-        for g in gates[grp.start:grp.end]:
+        for g in gates[start:end]:
             lines.append(_ref_gate_line(g[0], [names[w] for w in g[1:]]))
         lines.append(f"END {name}")
         lines.append("")

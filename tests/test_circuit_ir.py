@@ -1,5 +1,5 @@
-"""Circuit representation, flat groups, Toffoli decomposition, and exact
-resource metrics."""
+"""Circuit representation, flat labeled blocks, Toffoli decomposition,
+and exact resource metrics."""
 
 import random
 from array import array
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    block_spans,
     gate_tuples,
     random_classical_circuit,
     ref_metrics,
@@ -33,7 +34,6 @@ from ecadd.circuit_ir import (
     TOFFOLI_TEMPLATE,
     Circuit,
     CircuitError,
-    Group,
     decompose_toffoli,
     metrics,
     reversed_runs,
@@ -47,6 +47,11 @@ def three_wire(*names):
     for nm in names:
         c.add_wire(nm)
     return c
+
+
+def block_gates(c):
+    """A circuit's blocks as ``(label, gate tuples)``."""
+    return [(label, gate_tuples(runs)) for label, runs in c.blocks]
 
 
 @st.composite
@@ -108,8 +113,9 @@ class TestCircuitBuilding:
             pass
         with c.group("X"):
             c.append(CNOT, 1, 0)
-        assert c.groups == [Group("X", 0, 1), Group("M", 2, 2),
-                            Group("X", 2, 3)]
+        assert block_gates(c) == [
+            (None, []), ("X", [(NOT, 0)]), (None, [(CNOT, 0, 1)]),
+            ("M", []), (None, []), ("X", [(CNOT, 1, 0)]), (None, [])]
 
     def test_nested_group_rejected(self):
         c = three_wire("a", "b")
@@ -123,21 +129,53 @@ class TestCircuitBuilding:
             with c.group("outer"):
                 with c.group("inner"):
                     pass
-        assert c.groups == []
+        assert block_gates(c) == [(None, [(NOT, 0)])]
         with c.group("next"):
             c.append(NOT, 1)
-        assert c.groups == [Group("next", 1, 2)]
+        assert block_gates(c) == [(None, [(NOT, 0)]), ("next", [(NOT, 1)]),
+                                  (None, [])]
 
     def test_failed_group_body_records_nothing(self):
-        c = three_wire("a")
+        # The failed body's gates stay in the circuit, unlabeled and in
+        # order, and the next group starts after them.
+        c = three_wire("a", "b")
+        c.append(CNOT, 0, 1)
         with pytest.raises(RuntimeError):
             with c.group("g"):
                 c.append(NOT, 0)
+                c.append(CNOT, 1, 0)
                 raise RuntimeError
-        assert c.groups == []
+        assert block_gates(c) == [(None, [(CNOT, 0, 1), (NOT, 0),
+                                          (CNOT, 1, 0)])]
         with c.group("h"):
             c.append(NOT, 0)
-        assert c.groups == [Group("h", 1, 2)]
+        assert block_gates(c) == [
+            (None, [(CNOT, 0, 1), (NOT, 0), (CNOT, 1, 0)]),
+            ("h", [(NOT, 0)]), (None, [])]
+        assert block_spans(c) == [("h", 3, 4)]
+        assert c.num_gates == 4
+
+    @pytest.mark.parametrize("label", [None, 3, b"S"])
+    def test_group_label_must_be_a_str(self, label):
+        # A None label would read as an unlabeled block, and the writer
+        # cannot name a block by a label that is not text.
+        c = three_wire("a")
+        with pytest.raises(CircuitError):
+            with c.group(label):
+                c.append(NOT, 0)
+        assert block_gates(c) == [(None, [])]
+        assert write_qc(c) == b".v a\n.i a\n.o a\n\nBEGIN\nEND\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_circuits())
+    def test_blocks_round_trip_through_qc(self, c):
+        # The same blocks, gate for gate; a repeated label comes back
+        # with the suffix that made its subcircuit name unique.
+        back = parse_qc(write_qc(c).decode())
+        assert [(label is None, g) for label, g in block_gates(back)] == \
+            [(label is None, g) for label, g in block_gates(c)]
+        for (got, _), (want, _) in zip(back.blocks, c.blocks):
+            assert got == want or got.startswith(want + "_")
 
 
 class TestMetrics:
@@ -308,9 +346,16 @@ class TestStructuralOps:
             assert rd.toffoli_count == 0
             assert rd.total_gates == r.total_gates + 14 * r.toffoli_count
             assert rd.t_count == 7 * r.toffoli_count
-            # Group spans still cover whole gates.
-            for grp in d.groups:
-                assert 0 <= grp.start <= grp.end <= d.num_gates
+            # Each block keeps its label and holds its own gates, each
+            # Toffoli expanded to 15.
+            assert [label for label, _ in d.blocks] == \
+                [label for label, _ in c.blocks]
+            for (_, runs), (_, druns) in zip(c.blocks, d.blocks):
+                gates = gate_tuples(runs)
+                tof = sum(g[0] == TOFFOLI for g in gates)
+                assert len(gate_tuples(druns)) == len(gates) + 14 * tof
+                assert [g for g in gate_tuples(druns) if g[0] == NOT] == \
+                    [g for g in gates if g[0] == NOT]
 
 
 @st.composite
@@ -363,7 +408,7 @@ class TestRunStore:
         one, bulk = (build_runs(width, segments, b) for b in (False, True))
         assert gate_tuples(one.runs) == gate_tuples(bulk.runs) == gates
         assert one.num_gates == bulk.num_gates == len(gates)
-        assert one.groups == bulk.groups
+        assert block_gates(one) == block_gates(bulk)
         (depth, _, b_depth, bt_depth), subs = ref_metrics(one)
         for c in (one, bulk):
             r = metrics(c)

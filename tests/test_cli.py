@@ -9,7 +9,7 @@ import shlex
 import pytest
 
 import ecadd.cli as cli
-from conftest import circuit_of, gate_tuples
+from conftest import block_spans, circuit_of, gate_tuples
 from ecadd.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -260,7 +260,8 @@ class TestVerify:
         circ, report = b163_circuit
         gates = gate_tuples(circ.runs)
         if mutant == "retarget":
-            i = next(g.start for g in circ.groups if g.label == "X")
+            i = next(start for label, start, _ in block_spans(circ)
+                     if label == "X")
             kind, c, t = gates[i]
             assert kind == CNOT
             gates[i] = (CNOT, c, t + 1)

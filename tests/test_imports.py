@@ -1,13 +1,19 @@
-"""No module of the package and no test imports a name it does not use."""
+"""No module of the package and no test imports a name it does not use,
+and the package defines no module-level name that nothing reads."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
+import ecadd
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "ecadd").glob("*.py")) \
-    + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "ecadd").glob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
+# The benchmark's scripts, which look up names of the package.
+BENCH = [ROOT / "bench" / "tracer.py", ROOT / "bench" / "job.py"]
 
 # Imported but not called: bench/tracer.py wraps them where the callers
 # look them up.
@@ -54,3 +60,73 @@ def test_no_unused_imports(path):
     unused = [name for name in unused_imports(path.read_text())
               if (rel, name) not in ALLOWED]
     assert unused == [], f"{rel} imports {unused} without using them"
+
+
+def definitions(tree) -> list[tuple[str, ast.AST]]:
+    """``(name, node)`` for each module-level function, class and
+    assigned name, with the statement that defines it."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out += [(n.id, node) for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)]
+    return out
+
+
+def reads(node) -> Counter:
+    """How often each name is read inside ``node``, as a name or as an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Attribute))
+
+
+def unread_definitions(sources: list[str], named: set[str]) -> list[str]:
+    """Module-level names of ``sources`` read nowhere in them beyond
+    their own definition, and not in ``named``."""
+    trees = [ast.parse(source) for source in sources]
+    total = sum((reads(tree) for tree in trees), Counter())
+    return sorted(name for tree in trees for name, node in definitions(tree)
+                  if name not in named and total[name] == reads(node)[name])
+
+
+def named_in(source: str) -> set[str]:
+    """Every name, attribute, imported name and identifier-like string
+    constant of ``source``."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.update(n.value.split("."))
+    return out
+
+
+def test_definition_checker_finds_unread_names():
+    sources = ["A, B = 1, 2\nC: int = A\n"
+               "def f(n):\n    return f(n - 1)\n"
+               "class K:\n    pass\n"
+               "def g():\n    return K\n",
+               "from m import C\nprint(C)\n"]
+    assert unread_definitions(sources, set()) == ["B", "f", "g"]
+    assert unread_definitions(sources, {"g"}) == ["B", "f"]
+
+
+def test_every_definition_has_a_reader():
+    # A name of the package that only tests read is a wrapper without a
+    # production caller; the benchmark's scripts and ``ecadd.__all__``
+    # count as readers.
+    named = {"__all__", "__version__", *ecadd.__all__}
+    for path in BENCH:
+        named |= named_in(path.read_text())
+    unread = unread_definitions([p.read_text() for p in SRC], named)
+    assert unread == [], f"src/ecadd/ defines {unread}, which nothing reads"

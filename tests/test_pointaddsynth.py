@@ -9,6 +9,7 @@ import pytest
 
 import ecadd.pointaddsynth as pas
 from conftest import (
+    block_spans,
     circuit_of,
     first_irreducible,
     gate_tuples,
@@ -94,7 +95,7 @@ class TestToyStructure:
     def test_block_labels_in_order(self):
         curve, p2 = toy_job()
         circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
-        labels = [g.label for g in circ.groups]
+        labels = [label for label, _, _ in block_spans(circ)]
         # Multiplier blocks and the linear blocks around them.
         assert labels == ["SM", "X", "M", "S", "S", "S", "a2", "X", "M",
                           "M", "xyZ", "M", "IM", "IX", "Ia2", "IS", "SR",
@@ -135,16 +136,16 @@ class TestReversalBlocks:
         # runs reversed, as views of the same columns read backwards.
         curve, p2 = toy_job() if job == "toy" else self.n8_job()
         circ, _ = synth_point_add(curve, p2, allow_off_curve=True)
-        spans = [runs for grp, runs in circ.spans() if grp is not None]
-        groups = circ.groups
+        spans = [runs for label, runs in circ.blocks if label is not None]
+        groups = block_spans(circ)
         for rev, fwd in self.PAIRS:
-            r, f = groups[rev], groups[fwd]
-            assert r.label == "I" + f.label
-            assert r.end - r.start == f.end - f.start > 0, r.label
-            assert len(spans[rev]) == len(spans[fwd]) > 0, r.label
-            assert all(a is b for a, b in zip(spans[rev], spans[fwd])), r.label
+            (rl, rs, rend), (fl, fs, fend) = groups[rev], groups[fwd]
+            assert rl == "I" + fl
+            assert rend - rs == fend - fs > 0, rl
+            assert len(spans[rev]) == len(spans[fwd]) > 0, rl
+            assert all(a is b for a, b in zip(spans[rev], spans[fwd])), rl
         im, product = self.IM_PAIR
-        assert (groups[im].label, groups[product].label) == ("IM", "M")
+        assert (groups[im][0], groups[product][0]) == ("IM", "M")
         assert len(spans[im]) == len(spans[product])
         for (rk, rcols), (fk, fcols) in zip(spans[im],
                                             reversed(spans[product])):
@@ -175,9 +176,9 @@ class TestA2Block:
                    for j in range(n)
                    if ref_field_mul(a2, 1 << i, fld.bits) >> j & 1]
         gates = gate_tuples(circ.runs)
-        blocks = {g.label: gates[g.start:g.end]
-                  for g in circ.groups
-                  if g.label in ("a2", "Ia2")}
+        blocks = {label: gates[start:end]
+                  for label, start, end in block_spans(circ)
+                  if label in ("a2", "Ia2")}
         assert set(blocks) == {"a2", "Ia2"}
         for label, got in blocks.items():
             if a2 == 1:

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gate_tuples, random_classical_circuit, ref_write_qc
+from conftest import (
+    block_spans,
+    gate_tuples,
+    random_classical_circuit,
+    ref_write_qc,
+)
 from ecadd.circuit_ir import (
     ARITY,
     CNOT,
@@ -134,7 +139,8 @@ class TestWriter:
         begins = [ln for ln in text.splitlines() if ln.startswith("BEGIN ")]
         assert begins == ["BEGIN A", "BEGIN A_2", "BEGIN A_2_2"]
         back = parse_qc(text)
-        assert [g.label for g in back.groups] == ["A", "A_2", "A_2_2"]
+        assert [label for label, _, _ in block_spans(back)] == \
+            ["A", "A_2", "A_2_2"]
         assert gate_tuples(back.runs) == gate_tuples(c.runs)
 
     def test_keyword_labels_round_trip(self):
@@ -150,8 +156,8 @@ class TestWriter:
         begins = [ln for ln in text.splitlines() if ln.startswith("BEGIN ")]
         assert begins == ["BEGIN G_END", "BEGIN G_BEGIN", "BEGIN G_END_2"]
         back = parse_qc(text)
-        assert [g.label for g in back.groups] == ["G_END", "G_BEGIN",
-                                                  "G_END_2"]
+        assert [label for label, _, _ in block_spans(back)] == \
+            ["G_END", "G_BEGIN", "G_END_2"]
         assert gate_tuples(back.runs) == gate_tuples(c.runs)
 
     def test_clifford_t_toffoli_is_the_template(self):
@@ -331,7 +337,7 @@ class TestParser:
                 "BEGIN SM\ntof a b\nEND SM\n"
                 "BEGIN\nSM\ntof b a\nEND\n")
         c = parse_qc(text)
-        assert [g.label for g in c.groups] == ["SM"]
+        assert block_spans(c) == [("SM", 0, 1)]
         assert c.num_gates == 2
 
     @pytest.mark.parametrize("line", [
@@ -364,7 +370,7 @@ class TestGolden:
     def test_golden_file_parses_and_has_block_labels(self):
         text = (GOLDEN / "toy_point_add.qc").read_text()
         c = parse_qc(text)
-        names = [g.label for g in c.groups]
+        names = [label for label, _, _ in block_spans(c)]
         for label in ("SM", "X", "M", "S", "a2", "xyZ", "IM", "IX",
                       "Ia2", "IS", "SR", "ISM"):
             assert any(nm == label or nm.startswith(label + "_")
