@@ -2,10 +2,12 @@
 
 Circuits are built over a flat wire table.  Gates are stored as runs of
 one kind: a run is ``(kind, columns)`` with one ``array('I')`` of wire
-ids per wire role (``ARITY[kind]`` columns), so a gate costs 4 bytes per
-wire and million-gate circuits stay small.  Synthesis appends whole
-runs, and a run may be shared by several blocks and circuits, so a run
-that has been added or that ends a block is never extended again.
+ids per wire role (one column for NOT and the one-wire gates, two for
+CNOT, three for Toffoli), so a gate costs 4 bytes per wire and
+million-gate circuits stay small.  Gates enter a circuit only as whole
+runs (``Circuit.add_runs``); ``runs_of`` is where gate tuples
+``(kind, wire...)`` become runs.  A run may be shared by several blocks
+and circuits, so no run is changed once it has been added.
 
 The runs are kept in blocks (``Circuit.blocks``): one flat list of
 ``(label, runs)`` in gate order, where a labeled block is a logical
@@ -38,11 +40,12 @@ from __future__ import annotations
 from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import groupby, islice
+from operator import itemgetter
 
 NOT, CNOT, TOFFOLI, H, T, T_DAGGER, S, S_DAGGER = range(8)
 
 KIND_NAMES = ("not", "cnot", "toffoli", "h", "t", "t_dagger", "s", "s_dagger")
-ARITY = (1, 2, 3, 1, 1, 1, 1, 1)
 
 # Clifford+T realization of TOFFOLI(c1, c2, t): 15 gates, 7 of them
 # T/T-dagger, scheduled depth 8 and T-depth 4.  Entries are
@@ -76,8 +79,8 @@ TOFFOLI_DECOMP_T_DEPTH = 4
 
 
 class CircuitError(ValueError):
-    """Malformed circuit operation (bad wires, arity, a nested group or a
-    label that is not a str)."""
+    """Malformed circuit operation (a duplicate wire name, a nested group
+    or a label that is not a str)."""
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,14 @@ class GateRuns:
 
     def __len__(self) -> int:
         return sum(len(cols[0]) for _, cols in self.runs)
+
+
+def runs_of(gates) -> list:
+    """The runs of gate tuples ``(kind, wire...)``: each stretch of
+    consecutive gates of one kind becomes one run."""
+    return [(kind, tuple([array("I", col)
+                          for col in islice(zip(*run), 1, None)]))
+            for kind, run in groupby(gates, itemgetter(0))]
 
 
 def reversed_runs(runs) -> list:
@@ -111,9 +122,6 @@ class Circuit:
         # Always ends with an unlabeled block, except inside ``group``.
         self.blocks: list[tuple] = [(None, [])]
         self.num_gates = 0
-        # The last run, while ``append`` may still extend it: a run that
-        # was added whole, or that ends at a block boundary, is closed.
-        self._open = None
 
     # -- wires ----------------------------------------------------------
 
@@ -136,47 +144,21 @@ class Circuit:
         """Every run of the circuit, in gate order."""
         return [run for _, runs in self.blocks for run in runs]
 
-    def append(self, kind: int, *wires: int):
-        """Append one gate, checked: to the open run if it is of the same
-        kind, else as a new run."""
-        if not 0 <= kind < len(KIND_NAMES):
-            raise CircuitError(f"unknown gate kind {kind}")
-        if len(wires) != ARITY[kind]:
-            raise CircuitError(
-                f"{KIND_NAMES[kind]} takes {ARITY[kind]} wires, got {len(wires)}"
-            )
-        nw = len(self.wires)
-        for w in wires:
-            if not 0 <= w < nw:
-                raise CircuitError(f"wire id {w} out of range")
-        if len(set(wires)) != len(wires):
-            raise CircuitError("gate wires must be distinct")
-        run = self._open
-        if run is not None and run[0] == kind:
-            for col, w in zip(run[1], wires):
-                col.append(w)
-        else:
-            self._open = run = (kind, tuple(array("I", (w,)) for w in wires))
-            self.blocks[-1][1].append(run)
-        self.num_gates += 1
-
     def add_runs(self, runs):
-        """Append whole pre-validated runs (synthesis fast path).  They
-        are shared, not copied, and none is extended afterwards; empty
-        runs are dropped."""
+        """Append whole runs, whose wires are taken as valid.  They are
+        shared, not copied; empty runs are dropped."""
         block = self.blocks[-1][1]
         for run in runs:
             count = len(run[1][0])
             if count:
                 block.append(run)
                 self.num_gates += count
-        self._open = None
 
     # -- blocks ----------------------------------------------------------
 
     @contextmanager
     def group(self, label: str):
-        """Put the gates appended inside the ``with`` block in a block
+        """Put the runs added inside the ``with`` block in a block
         labeled ``label``; labeled blocks do not nest.  If the body
         raises, its gates stay in the circuit, unlabeled."""
         if not isinstance(label, str):
@@ -185,29 +167,28 @@ class Circuit:
             raise CircuitError(f"group {label!r} opened inside another group")
         runs = []
         self.blocks.append((label, runs))
-        self._open = None
         try:
             yield
         except BaseException:
             self.blocks.pop()
             self.blocks[-1][1].extend(runs)
             raise
-        finally:
-            self._open = None
         self.blocks.append((None, []))
 
 
 def decompose_toffoli(circuit: Circuit) -> Circuit:
     """Rewrite every Toffoli as its 15-gate Clifford+T template.
 
-    Each block keeps its label and holds its own gates, a Toffoli's as
-    its template; runs of other kinds are shared with ``circuit``.
+    Each block keeps its label and holds its own gates, a Toffoli run's
+    as the runs of its gates' templates; runs of other kinds are shared
+    with ``circuit``.
     ``qcformat.write_qc(circuit, clifford_t=True)`` returns the .qc
     bytes of this circuit without building it.
     """
     out = Circuit()
     for name in circuit.wires:
         out.add_wire(name)
+    steps = [(tkind, troles) for tkind, *troles in TOFFOLI_TEMPLATE]
     for label, runs in circuit.blocks:
         with nullcontext() if label is None else out.group(label):
             for run in runs:
@@ -215,9 +196,9 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
                 if kind != TOFFOLI:
                     out.add_runs((run,))
                     continue
-                for roles in zip(*cols):
-                    for tkind, *troles in TOFFOLI_TEMPLATE:
-                        out.append(tkind, *(roles[r] for r in troles))
+                out.add_runs(runs_of(
+                    (tkind, *[roles[r] for r in troles])
+                    for roles in zip(*cols) for tkind, troles in steps))
     return out
 
 

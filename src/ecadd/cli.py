@@ -173,7 +173,7 @@ def cmd_tables(args) -> int:
         raise ValidationError("tables currently requires --nist (built-in presets)")
     rows = tables_rows(args.kind)
     sys.stdout.write(format_table(args.kind, rows))
-    if args.json:
+    if args.json is not None:
         _write_file(args.json, (json.dumps(
             {"schema": 1, "kind": args.kind, "rows": rows}, indent=2)
             + "\n").encode())

@@ -38,9 +38,6 @@ from __future__ import annotations
 
 import io
 import re
-from array import array
-from itertools import groupby
-from operator import itemgetter
 
 from .circuit_ir import (
     CNOT,
@@ -52,6 +49,7 @@ from .circuit_ir import (
     T_DAGGER,
     TOFFOLI,
     Circuit,
+    runs_of,
 )
 
 
@@ -184,12 +182,6 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> bytes:
 # Parsing
 # ----------------------------------------------------------------------
 
-def _runs_of(gates) -> list:
-    """The single-kind runs of a list of gate tuples ``(kind, wire...)``."""
-    return [(kind, tuple(array("I", col) for col in list(zip(*run))[1:]))
-            for kind, run in groupby(gates, itemgetter(0))]
-
-
 def _parse_gate(tokens, lineno, wire_ids) -> tuple:
     op = tokens[0]
     args = tokens[1:]
@@ -289,6 +281,7 @@ def parse_qc(text: str) -> Circuit:
                 if len(tokens) != 1:
                     raise QcSyntaxError("main END takes no name", lineno)
                 seen_main = True
+                circuit.add_runs(runs_of(block_gates))
             else:
                 if len(tokens) == 2 and tokens[1] != block_name:
                     raise QcSyntaxError(
@@ -296,7 +289,7 @@ def parse_qc(text: str) -> Circuit:
                         f"{block_name!r}", lineno)
                 if len(tokens) > 2:
                     raise QcSyntaxError("END takes at most one name", lineno)
-                subs[block_name] = _runs_of(block_gates)
+                subs[block_name] = runs_of(block_gates)
             in_block = False
             continue
 
@@ -307,6 +300,8 @@ def parse_qc(text: str) -> Circuit:
             # A bare name is a subcircuit invocation; defined names win
             # over gate mnemonics (a gate line always has wire operands).
             if block_name is None and tokens[0] in subs:
+                circuit.add_runs(runs_of(block_gates))
+                block_gates = []
                 with circuit.group(tokens[0]):
                     circuit.add_runs(subs[tokens[0]])
                 continue
@@ -317,11 +312,7 @@ def parse_qc(text: str) -> Circuit:
                         lineno)
                 raise QcSyntaxError(f"undefined subcircuit {tokens[0]!r}", lineno)
 
-        gate = _parse_gate(tokens, lineno, wire_ids)
-        if block_name is None:
-            circuit.append(*gate)
-        else:
-            block_gates.append(gate)
+        block_gates.append(_parse_gate(tokens, lineno, wire_ids))
 
     if in_block:
         raise QcSyntaxError("unterminated block at end of file", len(text.splitlines()))

@@ -26,6 +26,7 @@ from ecadd.circuit_ir import (
     TOFFOLI_DECOMP_DEPTH,
     TOFFOLI_DECOMP_T_DEPTH,
     Circuit,
+    runs_of,
 )
 from ecadd.gf2field import IrreduciblePoly
 from ecadd.linmaps import BinMatrix
@@ -242,6 +243,11 @@ def random_invertible(n: int, rng: random.Random) -> BinMatrix:
 # The tuple view of a circuit's gates, and a circuit built from one
 # ----------------------------------------------------------------------
 
+# The number of wires of each gate kind: a run of that kind has one
+# wire column per wire.
+ARITY = (1, 2, 3, 1, 1, 1, 1, 1)
+
+
 def gate_tuples(runs) -> list[tuple]:
     """The gates of a run list (a circuit's ``runs``, or a span of
     them) as tuples ``(kind, wire, ...)``, in order."""
@@ -261,14 +267,19 @@ def block_spans(circuit: Circuit) -> list[tuple]:
     return spans
 
 
+def add_gates(circuit: Circuit, *gates):
+    """Add gate tuples ``(kind, wire, ...)`` to a circuit as runs, each
+    stretch of one kind as one run."""
+    circuit.add_runs(runs_of(gates))
+
+
 def circuit_of(wires, gates) -> Circuit:
     """A group-free circuit over the wire names ``wires`` with the given
-    gate tuples, each appended (and checked) one at a time."""
+    gate tuples."""
     c = Circuit()
     for name in wires:
         c.add_wire(name)
-    for g in gates:
-        c.append(*g)
+    add_gates(c, *gates)
     return c
 
 
@@ -284,9 +295,9 @@ def random_classical_circuit(rng: random.Random, max_wires: int = 8,
         c.add_wire(f"w{i}")
     choices = [NOT, CNOT, TOFFOLI][:width]
 
-    def append_random_gate():
+    def add_random_gate():
         kind = rng.choice(choices)
-        c.append(kind, *rng.sample(range(width), (1, 2, 3)[kind]))
+        add_gates(c, (kind, *rng.sample(range(width), (1, 2, 3)[kind])))
 
     budget = rng.randint(0, max_gates)
     while budget > 0:
@@ -294,12 +305,12 @@ def random_classical_circuit(rng: random.Random, max_wires: int = 8,
             # A group holds one or more gates; 0.3 ends it after each.
             with c.group(rng.choice(("blk", "S", "M", "xyZ"))):
                 while budget > 0:
-                    append_random_gate()
+                    add_random_gate()
                     budget -= 1
                     if rng.random() < 0.3:
                         break
         else:
-            append_random_gate()
+            add_random_gate()
             budget -= 1
     return c
 

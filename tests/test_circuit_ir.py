@@ -2,7 +2,6 @@
 and exact resource metrics."""
 
 import random
-from array import array
 from collections import Counter
 from contextlib import nullcontext
 
@@ -12,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ARITY,
+    add_gates,
     block_spans,
     gate_tuples,
     random_classical_circuit,
@@ -20,7 +21,6 @@ from conftest import (
     ref_write_qc,
 )
 from ecadd.circuit_ir import (
-    ARITY,
     CNOT,
     KIND_NAMES,
     H,
@@ -68,7 +68,7 @@ def grouped_circuits(draw):
     def gate():
         kind = draw(st.sampled_from(kinds))
         wires = draw(st.permutations(range(width)))[:ARITY[kind]]
-        c.append(kind, *wires)
+        add_gates(c, (kind, *wires))
 
     for _ in range(draw(st.integers(0, 20))):
         if draw(st.booleans()):
@@ -90,29 +90,15 @@ class TestCircuitBuilding:
         with pytest.raises(CircuitError):
             c.add_wire("a")
 
-    def test_append_validation(self):
-        c = three_wire("a", "b", "c")
-        with pytest.raises(CircuitError):
-            c.append(99, 0)
-        with pytest.raises(CircuitError):
-            c.append(CNOT, 0)  # wrong arity
-        with pytest.raises(CircuitError):
-            c.append(NOT, 5)  # out of range
-        with pytest.raises(CircuitError):
-            c.append(CNOT, 1, 1)  # duplicate wires
-        c.append(TOFFOLI, 0, 1, 2)
-        assert c.num_gates == 1
-        assert gate_tuples(c.runs) == [(TOFFOLI, 0, 1, 2)]
-
     def test_groups(self):
         c = three_wire("a", "b")
         with c.group("X"):
-            c.append(NOT, 0)
-        c.append(CNOT, 0, 1)
+            add_gates(c, (NOT, 0))
+        add_gates(c, (CNOT, 0, 1))
         with c.group("M"):
             pass
         with c.group("X"):
-            c.append(CNOT, 1, 0)
+            add_gates(c, (CNOT, 1, 0))
         assert block_gates(c) == [
             (None, []), ("X", [(NOT, 0)]), (None, [(CNOT, 0, 1)]),
             ("M", []), (None, []), ("X", [(CNOT, 1, 0)]), (None, [])]
@@ -121,9 +107,9 @@ class TestCircuitBuilding:
         c = three_wire("a", "b")
         with pytest.raises(CircuitError):
             with c.group("outer"):
-                c.append(NOT, 0)
+                add_gates(c, (NOT, 0))
                 with c.group("inner"):
-                    c.append(CNOT, 0, 1)
+                    add_gates(c, (CNOT, 0, 1))
         # An empty inner group at the outer group's start is refused too.
         with pytest.raises(CircuitError):
             with c.group("outer"):
@@ -131,7 +117,7 @@ class TestCircuitBuilding:
                     pass
         assert block_gates(c) == [(None, [(NOT, 0)])]
         with c.group("next"):
-            c.append(NOT, 1)
+            add_gates(c, (NOT, 1))
         assert block_gates(c) == [(None, [(NOT, 0)]), ("next", [(NOT, 1)]),
                                   (None, [])]
 
@@ -139,16 +125,15 @@ class TestCircuitBuilding:
         # The failed body's gates stay in the circuit, unlabeled and in
         # order, and the next group starts after them.
         c = three_wire("a", "b")
-        c.append(CNOT, 0, 1)
+        add_gates(c, (CNOT, 0, 1))
         with pytest.raises(RuntimeError):
             with c.group("g"):
-                c.append(NOT, 0)
-                c.append(CNOT, 1, 0)
+                add_gates(c, (NOT, 0), (CNOT, 1, 0))
                 raise RuntimeError
         assert block_gates(c) == [(None, [(CNOT, 0, 1), (NOT, 0),
                                           (CNOT, 1, 0)])]
         with c.group("h"):
-            c.append(NOT, 0)
+            add_gates(c, (NOT, 0))
         assert block_gates(c) == [
             (None, [(CNOT, 0, 1), (NOT, 0), (CNOT, 1, 0)]),
             ("h", [(NOT, 0)]), (None, [])]
@@ -162,7 +147,7 @@ class TestCircuitBuilding:
         c = three_wire("a")
         with pytest.raises(CircuitError):
             with c.group(label):
-                c.append(NOT, 0)
+                add_gates(c, (NOT, 0))
         assert block_gates(c) == [(None, [])]
         assert write_qc(c) == b".v a\n.i a\n.o a\n\nBEGIN\nEND\n"
 
@@ -181,10 +166,7 @@ class TestCircuitBuilding:
 class TestMetrics:
     def test_counts_and_depth(self):
         c = three_wire("a", "b", "c")
-        c.append(NOT, 0)
-        c.append(CNOT, 0, 1)
-        c.append(CNOT, 0, 2)
-        c.append(TOFFOLI, 0, 1, 2)
+        add_gates(c, (NOT, 0), (CNOT, 0, 1), (CNOT, 0, 2), (TOFFOLI, 0, 1, 2))
         r = metrics(c)
         assert r.counts["not"] == 1
         assert r.counts["cnot"] == 2
@@ -197,14 +179,12 @@ class TestMetrics:
 
     def test_parallel_gates_share_a_level(self):
         c = three_wire("a", "b", "c", "d")
-        c.append(CNOT, 0, 1)
-        c.append(CNOT, 2, 3)
+        add_gates(c, (CNOT, 0, 1), (CNOT, 2, 3))
         assert metrics(c).depth == 1
 
     def test_t_depth_counts_only_t_stages(self):
         c = three_wire("a")
-        for kind in (T, H, T_DAGGER, S, T):
-            c.append(kind, 0)
+        add_gates(c, *((kind, 0) for kind in (T, H, T_DAGGER, S, T)))
         r = metrics(c)
         assert r.t_count == 3
         assert r.t_depth == 3
@@ -213,8 +193,7 @@ class TestMetrics:
     def test_group_metrics(self):
         c = three_wire("a", "b")
         with c.group("blk"):
-            c.append(CNOT, 0, 1)
-            c.append(CNOT, 0, 1)
+            add_gates(c, (CNOT, 0, 1), (CNOT, 0, 1))
         r = metrics(c)
         assert len(r.subcircuits) == 1
         sub = r.subcircuits[0]
@@ -224,8 +203,7 @@ class TestMetrics:
 
     def test_decomposed_figures(self):
         c = three_wire("a", "b", "c")
-        c.append(TOFFOLI, 0, 1, 2)
-        c.append(CNOT, 0, 1)
+        add_gates(c, (TOFFOLI, 0, 1, 2), (CNOT, 0, 1))
         r = metrics(c)
         d = r.decomposed
         assert d.counts["toffoli"] == 0
@@ -314,8 +292,7 @@ class TestToffoliTemplate:
 
     def test_template_resource_quadruple(self):
         c = three_wire("a", "b", "c")
-        for entry in TOFFOLI_TEMPLATE:
-            c.append(*entry)
+        add_gates(c, *TOFFOLI_TEMPLATE)
         r = metrics(c)
         assert r.total_gates == 15
         assert r.t_count == 7
@@ -382,8 +359,8 @@ def run_sequences(draw):
 
 
 def build_runs(width, segments, bulk):
-    """The circuit of ``segments``, appended gate by gate or, with
-    ``bulk``, as one ``add_runs`` call per run."""
+    """The circuit of ``segments``, added as one-gate runs or, with
+    ``bulk``, as one whole run per drawn run."""
     c = Circuit()
     for i in range(width):
         c.add_wire(f"w{i}")
@@ -391,11 +368,10 @@ def build_runs(width, segments, bulk):
         with c.group(label) if label else nullcontext():
             for kind, gates in runs:
                 if bulk:
-                    cols = zip(*(g[1:] for g in gates))
-                    c.add_runs([(kind, tuple(array("I", col) for col in cols))])
+                    add_gates(c, *gates)
                 else:
                     for g in gates:
-                        c.append(*g)
+                        add_gates(c, g)
     return c
 
 
@@ -429,19 +405,18 @@ class TestRunStore:
     def test_append_after_a_replay_leaves_the_shared_runs_unchanged(self):
         c = three_wire("a", "b", "c")
         with c.group("F"):
-            c.append(CNOT, 0, 1)
-            c.append(CNOT, 1, 2)
+            add_gates(c, (CNOT, 0, 1), (CNOT, 1, 2))
         fwd = list(c.runs)
         before = gate_tuples(fwd)
-        # Each replay is followed by a gate of the shared run's kind,
-        # which must start a run of its own.
+        # Each replay is followed by a run of the shared run's kind,
+        # which must not change the shared run.
         with c.group("IF"):
             c.add_runs(fwd)
-        c.append(CNOT, 0, 2)
+        add_gates(c, (CNOT, 0, 2))
         c.add_runs(fwd)
-        c.append(CNOT, 2, 0)
+        add_gates(c, (CNOT, 2, 0))
         c.add_runs(reversed_runs(fwd))
-        c.append(CNOT, 1, 0)
+        add_gates(c, (CNOT, 1, 0))
         assert gate_tuples(fwd) == before
         assert c.runs[1] is c.runs[3] is fwd[0]
         assert gate_tuples(c.runs) == (

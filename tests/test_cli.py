@@ -2,11 +2,18 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import random
 import re
+import resource
 import shlex
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ecadd.cli as cli
 from conftest import block_spans, circuit_of, gate_tuples
@@ -17,6 +24,8 @@ from ecadd.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
+from ecadd.ecoracle import Curve, random_point
+from ecadd.gf2field import IrreduciblePoly, parse_element_text
 from ecadd.pointaddsynth import BoundViolation
 from ecadd.qcformat import parse_qc
 
@@ -188,6 +197,14 @@ class TestTables:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    def test_empty_json_path_refused(self, tmp_path, capsys, monkeypatch):
+        # An empty path is a path that cannot be written, not no path.
+        monkeypatch.chdir(tmp_path)
+        code = main(["tables", "squaring", "--nist", "--json", ""])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:
@@ -373,3 +390,139 @@ def test_readme_commands_exit_zero(tmp_path, capsys, monkeypatch):
             cases = re.search(r"PASS: (\d+) cases", out)
             assert cases and int(cases.group(1)) >= 1, line
     assert verified == 3
+
+
+# Without the exponent cap, the first two commands below end in a
+# MemoryError traceback, and the third in a Rabin test still running
+# after a minute.
+HUGE_EXPONENTS = [
+    ("--a2", ["--poly", "1+x+x^2", "--a2", "x^99999999999"]),
+    ("--poly", ["--poly", "1+x^99999999999", "--a2", "x^99999999999"]),
+    ("--poly", ["--poly", "1+x^1000000", "--a2", "x^99999999999"]),
+]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("flag, job", HUGE_EXPONENTS)
+def test_huge_exponent_refused(flag, job, tmp_path):
+    # A child process, so that the 1 GiB address-space limit and the
+    # timeout hold however the command fails.
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ecadd.cli", "synth", *job, "--a6", "1",
+         "--x2", "0", "--y2", "1", "--out", "a.qc"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=_limit_memory)
+    assert proc.returncode == EXIT_VALIDATION
+    assert re.fullmatch(rf"error: bad {flag}: exponent \d+ is above \d+\n",
+                        proc.stderr)
+    assert list(tmp_path.iterdir()) == []
+
+
+# The CLI census: argv built from fragments, n <= 8.  The number after
+# each modulus is the degree used to draw its elements.  The bad moduli
+# are a reducible one, degree-0 and degree-1 ones and bad text.
+GOOD_MODULI = (("1+x+x^2", 2), ("1+x+x^3", 3), ("1+x+x^4", 4),
+               ("1+x^2+x^5", 5), ("1+x+x^6", 6), ("1+x+x^7", 7),
+               ("1+x+x^3+x^4+x^8", 8))
+BAD_MODULI = (("1+x^2", 2), ("1", 0), ("1+x", 1), ("x", 1), ("", 8),
+              ("0x7", 8), ("-1", 8), ("1+x^3+x^3", 3))
+BAD_TEXT = ("", "0xZZ", "-1", "-0x3", "0x", "x^", "1+1", "x^-1", " ", "y")
+
+
+def mostly(good, bad):
+    """Draws from ``good`` three times in four, else from ``bad``."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else bad)
+
+
+def census_element(n):
+    """Element text: mostly in the field, else too wide for it, a power
+    of x up to x^1000000, or bad text."""
+    return mostly(st.integers(0, (1 << n) - 1).map(hex), st.one_of(
+        st.integers(1 << n, 1 << (n + 3)).map(hex),
+        st.integers(0, 10**6).map(lambda e: f"x^{e}"),
+        st.sampled_from(BAD_TEXT)))
+
+
+def census_point(poly, a2, a6, seed):
+    """A point on the curve, as hex, or None when the job is invalid."""
+    try:
+        fld = IrreduciblePoly.from_string(poly)
+        curve = Curve(fld.elem(parse_element_text(a2)),
+                      fld.elem(parse_element_text(a6)))
+    except ValueError:
+        return None
+    p = random_point(curve, random.Random(seed))
+    return [hex(p.x.value), hex(p.y.value)]
+
+
+@st.composite
+def census_argvs(draw, paths):
+    command = draw(st.sampled_from(("synth", "verify", "tables")))
+    if command == "tables":
+        argv = ["tables", draw(st.sampled_from(("squaring", "sqrt", "cube")))]
+        if draw(st.booleans()):
+            argv.append("--nist")
+        if draw(st.booleans()):
+            argv += ["--json", draw(mostly(st.just(paths[0]),
+                                           st.sampled_from(paths[1:])))]
+        return argv
+    poly, n = draw(mostly(st.sampled_from(GOOD_MODULI),
+                          st.sampled_from(BAD_MODULI)))
+    a2, a6 = draw(census_element(n)), draw(census_element(n))
+    point = None
+    if draw(mostly(st.just(True), st.just(False))):
+        point = census_point(poly, a2, a6, draw(st.integers(0, 99)))
+    if point is None:  # most likely off the curve
+        point = [draw(census_element(n)), draw(census_element(n))]
+    argv = [command, "--poly", poly, "--a2", a2, "--a6", a6,
+            "--x2", point[0], "--y2", point[1]]
+    if command == "synth":
+        argv += ["--out", draw(mostly(st.just(paths[0]),
+                                      st.sampled_from(paths[1:])))]
+        argv += draw(st.sets(st.sampled_from(("--allow-off-curve",
+                                              "--decompose"))))
+        return argv
+    if n <= 5 and draw(mostly(st.just(False), st.just(True))):
+        argv.append("--exhaustive")
+    if draw(st.booleans()):
+        argv += ["--samples", draw(mostly(st.sampled_from(("1", "2", "64")),
+                                          st.sampled_from(("-5", "0", "abc"))))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(
+            ("-1", "0", str(2**63), str(2**64 + 1), str(-2**70), "x")))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_census(data, tmp_path, capsys, monkeypatch):
+    # Every argv ends in a documented exit code, never in a traceback,
+    # and a command that exits 0 has written every file it was given.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir.qc").mkdir(exist_ok=True)
+    (tmp_path / "rdir.report.json").mkdir(exist_ok=True)
+    ok = tmp_path / "ok.qc"
+    paths = (str(ok), "", str(tmp_path / "missing" / "a.qc"),
+             str(tmp_path / "adir.qc"), str(tmp_path / "adir"),
+             str(tmp_path / "rdir"))
+    for p in (ok, tmp_path / "ok.report.json"):
+        p.unlink(missing_ok=True)
+    argv = data.draw(census_argvs(paths))
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's way out of a usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY_FAIL, EXIT_INTERNAL)
+    assert "Traceback" not in err
+    if code == EXIT_OK and argv[0] == "synth":
+        assert ok.exists() and (tmp_path / "ok.report.json").exists()
+    if code == EXIT_OK and "--json" in argv:
+        assert pathlib.Path(argv[argv.index("--json") + 1]).is_file()

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ARITY,
+    add_gates,
     block_spans,
     gate_tuples,
     random_classical_circuit,
     ref_write_qc,
 )
 from ecadd.circuit_ir import (
-    ARITY,
     CNOT,
     H,
     KIND_NAMES,
@@ -47,9 +48,8 @@ def small_circuit():
     for nm in ("a", "b", "c"):
         c.add_wire(nm)
     with c.group("S"):
-        c.append(CNOT, 0, 1)
-    c.append(TOFFOLI, 0, 1, 2)
-    c.append(NOT, 2)
+        add_gates(c, (CNOT, 0, 1))
+    add_gates(c, (TOFFOLI, 0, 1, 2), (NOT, 2))
     return c
 
 
@@ -68,7 +68,7 @@ def writer_circuits(draw):
     def gate():
         kind = draw(st.sampled_from(kinds))
         wires = draw(st.permutations(range(width)))[:ARITY[kind]]
-        c.append(kind, *wires)
+        add_gates(c, (kind, *wires))
 
     for _ in range(draw(st.integers(0, 20))):
         if draw(st.booleans()):
@@ -110,7 +110,7 @@ class TestWriter:
         c = Circuit()
         c.add_wire("q")
         for kind, token in ((3, "H"), (4, "T"), (5, "T*"), (6, "S"), (7, "S*")):
-            c.append(kind, 0)
+            add_gates(c, (kind, 0))
         text = write_qc(c).decode()
         for token in ("H q", "T q", "T* q", "S q", "S* q"):
             assert token in text.splitlines()
@@ -121,7 +121,7 @@ class TestWriter:
         c.add_wire("b")
         for _ in range(3):
             with c.group("S"):
-                c.append(CNOT, 0, 1)
+                add_gates(c, (CNOT, 0, 1))
         text = write_qc(c).decode()
         for name in ("BEGIN S", "BEGIN S_2", "BEGIN S_3"):
             assert name in text.splitlines()
@@ -134,7 +134,7 @@ class TestWriter:
         c.add_wire("a")
         for label in ("A", "A", "A_2"):
             with c.group(label):
-                c.append(NOT, 0)
+                add_gates(c, (NOT, 0))
         text = write_qc(c).decode()
         begins = [ln for ln in text.splitlines() if ln.startswith("BEGIN ")]
         assert begins == ["BEGIN A", "BEGIN A_2", "BEGIN A_2_2"]
@@ -151,7 +151,7 @@ class TestWriter:
         c.add_wire("b")
         for label in ("END", "BEGIN", "G_END"):
             with c.group(label):
-                c.append(CNOT, 0, 1)
+                add_gates(c, (CNOT, 0, 1))
         text = write_qc(c).decode()
         begins = [ln for ln in text.splitlines() if ln.startswith("BEGIN ")]
         assert begins == ["BEGIN G_END", "BEGIN G_BEGIN", "BEGIN G_END_2"]
@@ -164,7 +164,7 @@ class TestWriter:
         c = Circuit()
         for nm in ("a", "b", "c"):
             c.add_wire(nm)
-        c.append(TOFFOLI, 0, 1, 2)
+        add_gates(c, (TOFFOLI, 0, 1, 2))
         roles = "abc"
         expected = [
             f"tof {roles[e[1]]} {roles[e[2]]}" if e[0] == CNOT
@@ -181,7 +181,7 @@ class TestWriter:
         c.add_wire("a")
         with c.group("xyZ"):
             pass
-        c.append(NOT, 0)
+        add_gates(c, (NOT, 0))
         text = write_qc(c).decode()
         lines = text.splitlines()
         assert "BEGIN xyZ" in lines and "END xyZ" in lines
@@ -197,7 +197,7 @@ class TestWriter:
         c = Circuit()
         c.add_wire("a")
         with c.group("a-2 block!"):
-            c.append(NOT, 0)
+            add_gates(c, (NOT, 0))
         text = write_qc(c).decode()
         assert "BEGIN a_2_block_" in text
 
@@ -214,7 +214,7 @@ def append_run(c: Circuit, count: int, start: int):
     width = c.width
     for i in range(start, start + count):
         kind = i % len(KIND_NAMES)
-        c.append(kind, *((i + r) % width for r in range(ARITY[kind])))
+        add_gates(c, (kind, *((i + r) % width for r in range(ARITY[kind]))))
 
 
 def sliced_circuit(grouped: bool, runs) -> Circuit:
@@ -311,6 +311,13 @@ class TestParser:
         (".v a\nBEGIN G\ntof a\nEND H\n", 4),            # END name mismatch
         (".v a\nBEGIN\ntof a\n", 3),                     # unterminated block
         (".v a\nBEGIN\nEND\nBEGIN G\ntof a\nEND G\n", 4),  # def after main
+        (".v a b c d\nBEGIN\ntof a b c d\nEND\n", 3),    # tof of four wires
+        (".v a\nBEGIN\ntof a\nH\nEND\n", 4),             # bare H
+        (".v a b\nBEGIN\nT a b\nEND\n", 3),              # T of two wires
+        # The same checks inside a subcircuit definition.
+        (".v a\nBEGIN G\ntof a a\nEND G\nBEGIN\nEND\n", 3),
+        (".v a\nBEGIN G\ntof a\ntof b\nEND G\nBEGIN\nEND\n", 4),
+        (".v a\n\nBEGIN G\ntof a\nzap a\nEND G\nBEGIN\nEND\n", 5),
     ])
     def test_syntax_errors_carry_line_numbers(self, text, lineno):
         with pytest.raises(QcSyntaxError) as exc:

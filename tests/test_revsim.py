@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_classical_circuit, ref_simulate
-from ecadd.circuit_ir import ARITY, CNOT, H, NOT, TOFFOLI, Circuit
+from conftest import ARITY, add_gates, random_classical_circuit, ref_simulate
+from ecadd.circuit_ir import CNOT, H, NOT, TOFFOLI, Circuit
 from ecadd.revsim import Simulator, UnsupportedGate, to_lanes
 
 
@@ -13,8 +13,7 @@ def build(width, gates):
     c = Circuit()
     for i in range(width):
         c.add_wire(f"w{i}")
-    for g in gates:
-        c.append(*g)
+    add_gates(c, *gates)
     return c
 
 
@@ -86,7 +85,7 @@ def lane_jobs(draw):
     kinds = [k for k in (NOT, CNOT, TOFFOLI) if ARITY[k] <= width]
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(kinds))
-        c.append(kind, *draw(st.permutations(range(width)))[:ARITY[kind]])
+        add_gates(c, (kind, *draw(st.permutations(range(width)))[:ARITY[kind]]))
     states = draw(st.lists(st.integers(0, (1 << width) - 1),
                            min_size=1, max_size=300))
     return c, states
