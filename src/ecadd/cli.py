@@ -23,7 +23,7 @@ import os
 import sys
 
 from .ecoracle import AffinePoint, Curve, PointError
-from .gf2field import IrreduciblePoly, parse_element_text
+from .gf2field import IrreduciblePoly, parse_element_text, parse_poly_text
 from .linmaps import matrix_of_sqrt, matrix_of_squaring
 from .pointaddsynth import (
     EXHAUSTIVE_MAX_N,
@@ -43,6 +43,11 @@ NIST_POLYS = (
     ("B409", "1+x^87+x^409"),
     ("B571", "1+x^2+x^5+x^10+x^571"),
 )
+
+# The largest field degree that ``synth`` and ``verify`` accept, checked
+# before the Rabin test: a generic-point ``synth`` of this degree stays
+# within half of the 60 s and 2 GB per-field gate (README).
+MAX_DEGREE = 980
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,6 +72,9 @@ def _default_seed() -> int:
 
 def _parse_field(poly_text: str) -> IrreduciblePoly:
     try:
+        n = parse_poly_text(poly_text).bit_length() - 1
+        if n > MAX_DEGREE:
+            raise ValueError(f"degree {n} is above {MAX_DEGREE}")
         return IrreduciblePoly.from_string(poly_text)
     except ValueError as exc:
         raise ValidationError(f"bad --poly: {exc}") from exc
@@ -169,14 +177,14 @@ def format_table(kind: str, rows) -> str:
 
 
 def cmd_tables(args) -> int:
-    if not args.nist:
-        raise ValidationError("tables currently requires --nist (built-in presets)")
     rows = tables_rows(args.kind)
-    sys.stdout.write(format_table(args.kind, rows))
+    # The JSON first, so that a path that cannot be written leaves
+    # standard output empty.
     if args.json is not None:
         _write_file(args.json, (json.dumps(
             {"schema": 1, "kind": args.kind, "rows": rows}, indent=2)
             + "\n").encode())
+    sys.stdout.write(format_table(args.kind, rows))
     return EXIT_OK
 
 
@@ -241,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("tables", help="squaring / sqrt cost tables")
     pt.add_argument("kind", choices=("squaring", "sqrt"))
-    pt.add_argument("--nist", action="store_true",
-                    help="use the five built-in DSS field presets")
     pt.add_argument("--json", help="also write the rows as JSON to this path")
     pt.set_defaults(func=cmd_tables)
 

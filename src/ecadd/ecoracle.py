@@ -141,14 +141,11 @@ def affine_add(curve: Curve, p1: AffinePoint, p2: AffinePoint) -> AffinePoint:
     return AffinePoint(x3, y3)
 
 
-def affine_to_ld(p: AffinePoint, z: Optional[FieldElem] = None) -> LDPoint:
-    """An LD representative of an affine point; z (nonzero) picks the class
-    representative, defaulting to Z = 1."""
+def affine_to_ld(p: AffinePoint, z: FieldElem) -> LDPoint:
+    """The LD representative (x z, y z^2, z) of an affine point, for a
+    nonzero scale z."""
     if p.is_infinity:
         raise PointError("O has no finite LD representative here")
-    field = p.x.field
-    if z is None:
-        z = field.one()
     if z.value == 0:
         raise PointError("representative scale z must be nonzero")
     return LDPoint(p.x * z, p.y * z.square(), z)

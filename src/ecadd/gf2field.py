@@ -281,21 +281,9 @@ class IrreduciblePoly(Kernel):
     def support(self) -> tuple[int, ...]:
         return support_of(self.bits)
 
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def elem(self, value) -> "FieldElem":
-        """Wrap an integer, hex string, or polynomial text as a field element."""
-        if isinstance(value, str):
-            value = parse_element_text(value)
-        value = int(value)
-        if value < 0:
-            raise ValueError("a field element cannot be negative")
-        return FieldElem(self.reduce(value), self)
-
-    def zero(self) -> "FieldElem":
-        return FieldElem(0, self)
+    def elem(self, value: int) -> "FieldElem":
+        """The element of packed value ``value``, 0 <= value < 2^n."""
+        return FieldElem(value, self)
 
     def one(self) -> "FieldElem":
         return FieldElem(1, self)
@@ -434,16 +422,16 @@ def solve_quadratic(c: FieldElem) -> Optional[FieldElem]:
     which give the root with bit 0 clear (the other root is z + 1).  For
     odd n, Tr 1 = 1, so the two roots differ in trace; the one of trace
     0 is returned, which is the half-trace of c."""
-    field = c.field
-    trace_mask = field._trace_mask
-    if (c.value & trace_mask).bit_count() & 1:
+    if c.trace():
         return None
+    field = c.field
     rest = c.value
     z = 0
     for pivot, image, pre in field._quadratic_solver:
         if rest >> pivot & 1:
             rest ^= image
             z ^= pre
-    if field.n & 1 and (z & trace_mask).bit_count() & 1:
-        z ^= 1
-    return _wrap(z, field)
+    root = _wrap(z, field)
+    if field.n & 1 and root.trace():
+        root = _wrap(z ^ 1, field)
+    return root

@@ -304,7 +304,7 @@ def _check_chunk(sim: Simulator, layout: PointAddLayout, curve: Curve,
     return k, f"{tag}: output disagrees with the affine group law"
 
 
-def _generic(curve: Curve, p1_affine: AffinePoint, p2: AffinePoint) -> bool:
+def _generic(p1_affine: AffinePoint, p2: AffinePoint) -> bool:
     return not (p1_affine.is_infinity
                 or affine_equal(p1_affine, p2)
                 or affine_equal(p1_affine, negate(p2)))
@@ -316,7 +316,7 @@ def exhaustive_inputs(curve: Curve, p2: AffinePoint):
     fld = curve.field
     lams = [fld.elem(v) for v in range(1, 1 << fld.n)]
     for pa in all_affine_points(curve):
-        if _generic(curve, pa, p2):
+        if _generic(pa, p2):
             for lam in lams:
                 yield affine_to_ld(pa, lam)
 
@@ -334,7 +334,7 @@ def _sampled_inputs(curve: Curve, p2: AffinePoint, samples: int, seed: int):
                 "could not sample enough generic-case points on this curve"
             )
         pa = random_point(curve, rng)
-        if not _generic(curve, pa, p2):
+        if not _generic(pa, p2):
             continue
         lam = fld.elem(rng.getrandbits(fld.n))
         if lam.value == 0:

@@ -114,25 +114,13 @@ def _lines(kind, cols, names, clifford_t) -> list[str]:
 
 def _write_runs(out, runs, names, clifford_t):
     """Write the gates of ``runs`` into ``out`` as lines ending in LF,
-    rendered and encoded SLICE_GATES at a time, a run's share of a
-    slice by one comprehension of its kind."""
-    lines = []
-    room = SLICE_GATES
+    rendered and encoded at most SLICE_GATES gates of a run at a time."""
     for kind, cols in runs:
-        start, size = 0, len(cols[0])
-        while start < size:
-            stop = min(size, start + room)
-            lines += _lines(kind, [col[start:stop] for col in cols], names,
-                            clifford_t)
-            room -= stop - start
-            start = stop
-            if not room:
-                lines.append("")
-                out.write("\n".join(lines).encode())
-                lines, room = [], SLICE_GATES
-    if lines:
-        lines.append("")
-        out.write("\n".join(lines).encode())
+        for start in range(0, len(cols[0]), SLICE_GATES):
+            part = [col[start:start + SLICE_GATES] for col in cols]
+            lines = _lines(kind, part, names, clifford_t)
+            lines.append("")
+            out.write("\n".join(lines).encode())
 
 
 def write_qc(circuit: Circuit, clifford_t: bool = False) -> bytes:
@@ -142,8 +130,8 @@ def write_qc(circuit: Circuit, clifford_t: bool = False) -> bytes:
     without a copy: the header, each labeled block as a named
     subcircuit, then the main block, which writes each unlabeled
     block's gates and each labeled block's name in block order.  Gates
-    are rendered and encoded SLICE_GATES at a time, so no other copy of
-    the text is held.  With ``clifford_t`` each Toffoli is written as
+    are rendered and encoded at most SLICE_GATES of a run at a time, so
+    no other copy of the text is held.  With ``clifford_t`` each Toffoli is written as
     its 15-gate Clifford+T template (``circuit_ir.TOFFOLI_TEMPLATE``) as
     it is rendered, giving the same bytes as writing
     ``decompose_toffoli(circuit)``.

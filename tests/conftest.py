@@ -607,11 +607,6 @@ def ref_verify_point_add(circuit, curve, p2, exhaustive=False, samples=1000,
 # ----------------------------------------------------------------------
 
 @pytest.fixture
-def f4():
-    return IrreduciblePoly.from_string("1+x+x^2")
-
-
-@pytest.fixture
 def f8():
     return IrreduciblePoly.from_string("1+x+x^3")
 

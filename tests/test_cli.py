@@ -169,11 +169,8 @@ class TestReportPin:
 
 
 class TestTables:
-    def test_requires_nist(self, capsys):
-        assert main(["tables", "squaring"]) == EXIT_VALIDATION
-
     def test_squaring_table_shape(self, capsys):
-        assert main(["tables", "squaring", "--nist"]) == EXIT_OK
+        assert main(["tables", "squaring"]) == EXIT_OK
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
         assert "squaring" in lines[0]
@@ -183,7 +180,7 @@ class TestTables:
 
     def test_sqrt_table_json(self, tmp_path, capsys):
         path = tmp_path / "rows.json"
-        assert main(["tables", "sqrt", "--nist", "--json", str(path)]) == EXIT_OK
+        assert main(["tables", "sqrt", "--json", str(path)]) == EXIT_OK
         data = json.loads(path.read_text())
         assert data["kind"] == "sqrt"
         rows = {r["name"]: r for r in data["rows"]}
@@ -193,15 +190,16 @@ class TestTables:
 
     def test_unwritable_json_path(self, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"
-        code = main(["tables", "sqrt", "--nist", "--json", str(path)])
+        code = main(["tables", "sqrt", "--json", str(path)])
         assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(path) in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(path) in captured.err
 
     def test_empty_json_path_refused(self, tmp_path, capsys, monkeypatch):
         # An empty path is a path that cannot be written, not no path.
         monkeypatch.chdir(tmp_path)
-        code = main(["tables", "squaring", "--nist", "--json", ""])
+        code = main(["tables", "squaring", "--json", ""])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: cannot write ")
         assert list(tmp_path.iterdir()) == []
@@ -246,7 +244,7 @@ class TestVerify:
         assert captured.err == "error: bad ECADD_SEED: 'junk'\n"
         # An explicit --seed wins, and synth and tables never read it.
         assert main(self.BASE + ["--samples", "50", "--seed", "1"]) == EXIT_OK
-        assert main(["tables", "squaring", "--nist"]) == EXIT_OK
+        assert main(["tables", "squaring"]) == EXIT_OK
         assert main(synth_args(tmp_path / "c.qc")) == EXIT_OK
 
     def test_usage_error_is_a_validation_error(self, capsys):
@@ -423,6 +421,28 @@ def test_huge_exponent_refused(flag, job, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_degree_above_cap_refused(command, tmp_path, capsys, monkeypatch):
+    # The degree is refused before the Rabin test runs, which would
+    # report 1+x^n as reducible instead.
+    def rabin(bits):
+        raise AssertionError("the Rabin test ran")
+
+    monkeypatch.setattr("ecadd.gf2field.is_irreducible", rabin)
+    monkeypatch.chdir(tmp_path)
+    n = cli.MAX_DEGREE + 1
+    argv = [command, "--poly", f"1+x^{n}", "--a2", "1", "--a6", "1",
+            "--x2", "0", "--y2", "1"]
+    if command == "synth":
+        argv += ["--out", "a.qc"]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bad --poly: degree {n} is above {cli.MAX_DEGREE}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # The CLI census: argv built from fragments, n <= 8.  The number after
 # each modulus is the degree used to draw its elements.  The bad moduli
 # are a reducible one, degree-0 and degree-1 ones and bad text.
@@ -465,8 +485,6 @@ def census_argvs(draw, paths):
     command = draw(st.sampled_from(("synth", "verify", "tables")))
     if command == "tables":
         argv = ["tables", draw(st.sampled_from(("squaring", "sqrt", "cube")))]
-        if draw(st.booleans()):
-            argv.append("--nist")
         if draw(st.booleans()):
             argv += ["--json", draw(mostly(st.just(paths[0]),
                                            st.sampled_from(paths[1:])))]

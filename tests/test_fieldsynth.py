@@ -205,7 +205,7 @@ class TestMultiplier:
         for n in (2, 3, 5, 8, 13):
             fld = first_irreducible(n)
             r = metrics(standalone_multiplier(fld))
-            w = fld.weight
+            w = fld.bits.bit_count()
             assert r.toffoli_count == n * n
             assert r.counts["cnot"] == 2 * (n - 1) * (w - 2)
             assert r.counts["not"] == 0

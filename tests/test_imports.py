@@ -1,5 +1,6 @@
 """No module of the package and no test imports a name it does not use,
-and the package defines no module-level name that nothing reads."""
+and the package defines no module-level name or method that nothing
+reads."""
 
 import ast
 import pathlib
@@ -21,6 +22,9 @@ ALLOWED = {
     ("src/ecadd/pointaddsynth.py", "decompose_toffoli"),
     ("src/ecadd/pointaddsynth.py", "on_curve_ld"),
 }
+# Methods the standard library calls: argparse reports a usage error
+# through the parser's ``error``.
+CALLED_BY_STDLIB = {"_Parser.error"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -62,17 +66,26 @@ def test_no_unused_imports(path):
     assert unused == [], f"{rel} imports {unused} without using them"
 
 
-def definitions(tree) -> list[tuple[str, ast.AST]]:
-    """``(name, node)`` for each module-level function, class and
-    assigned name, with the statement that defines it."""
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree) -> list[tuple[str, str, ast.AST]]:
+    """``(label, name, node)`` for each module-level function, class and
+    assigned name, and each function of a class body that is not a
+    dunder, with the statement that defines it.  A method's label is
+    ``Class.name``, any other's its name."""
     out = []
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{f.name}", f.name, f) for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not is_dunder(f.name)]
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append((node.name, node))
+            out.append((node.name, node.name, node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
-            out += [(n.id, node) for t in targets for n in ast.walk(t)
+            out += [(n.id, n.id, node) for t in targets for n in ast.walk(t)
                     if isinstance(n, ast.Name)]
     return out
 
@@ -87,12 +100,15 @@ def reads(node) -> Counter:
 
 
 def unread_definitions(sources: list[str], named: set[str]) -> list[str]:
-    """Module-level names of ``sources`` read nowhere in them beyond
-    their own definition, and not in ``named``."""
+    """The labels of the definitions of ``sources`` whose name is read
+    nowhere in them beyond their own definition, and in ``named`` as
+    neither name nor label."""
     trees = [ast.parse(source) for source in sources]
     total = sum((reads(tree) for tree in trees), Counter())
-    return sorted(name for tree in trees for name, node in definitions(tree)
-                  if name not in named and total[name] == reads(node)[name])
+    return sorted(label for tree in trees
+                  for label, name, node in definitions(tree)
+                  if not {label, name} & named
+                  and total[name] == reads(node)[name])
 
 
 def named_in(source: str) -> set[str]:
@@ -114,18 +130,24 @@ def named_in(source: str) -> set[str]:
 def test_definition_checker_finds_unread_names():
     sources = ["A, B = 1, 2\nC: int = A\n"
                "def f(n):\n    return f(n - 1)\n"
-               "class K:\n    pass\n"
+               "class K:\n"
+               "    def __init__(self):\n        self.m()\n"
+               "    def m(self):\n        pass\n"
+               "    def r(self):\n        return self.r()\n"
+               "    def u(self):\n        pass\n"
                "def g():\n    return K\n",
                "from m import C\nprint(C)\n"]
-    assert unread_definitions(sources, set()) == ["B", "f", "g"]
-    assert unread_definitions(sources, {"g"}) == ["B", "f"]
+    assert unread_definitions(sources, set()) == ["B", "K.r", "K.u", "f", "g"]
+    assert unread_definitions(sources, {"g", "K.u"}) == ["B", "K.r", "f"]
+    assert unread_definitions(sources, {"r", "u"}) == ["B", "f", "g"]
 
 
 def test_every_definition_has_a_reader():
-    # A name of the package that only tests read is a wrapper without a
-    # production caller; the benchmark's scripts and ``ecadd.__all__``
-    # count as readers.
-    named = {"__all__", "__version__", *ecadd.__all__}
+    # A name or method of the package that only tests read is a wrapper
+    # without a production caller; the benchmark's scripts,
+    # ``ecadd.__all__`` and the standard library's calls count as
+    # readers.
+    named = {"__all__", "__version__", *ecadd.__all__, *CALLED_BY_STDLIB}
     for path in BENCH:
         named |= named_in(path.read_text())
     unread = unread_definitions([p.read_text() for p in SRC], named)

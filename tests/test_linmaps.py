@@ -93,7 +93,7 @@ class TestFieldMapBuilders:
         assert matrix_of_const_mul(f16.one()) == ref_identity(4)
 
     def test_const_mul_zero_is_zero_matrix(self, f8):
-        m = matrix_of_const_mul(f8.zero())
+        m = matrix_of_const_mul(f8.elem(0))
         assert m == BinMatrix(3, (0, 0, 0))
         assert m.weight == 0
 
