@@ -6,7 +6,9 @@ via bipartite edge coloring (:mod:`ecadd.edgecolor`), field-operation
 synthesis (:mod:`ecadd.fieldsynth`), the full Lopez-Dahab mixed-addition
 circuit (:mod:`ecadd.pointaddsynth`), classical oracles
 (:mod:`ecadd.ecoracle`), simulation (:mod:`ecadd.revsim`), and the .qc
-text format (:mod:`ecadd.qcformat`).
+text format (:mod:`ecadd.qcformat`).  Large jobs split their colorings,
+and ``ecadd synth`` its report and its write, over two processes
+(:mod:`ecadd.fanout`).
 """
 
 from .circuit_ir import Circuit, ResourceReport, decompose_toffoli, metrics

@@ -10,8 +10,9 @@ Subcommands:
   classical curve oracle, exhaustively or on seeded samples.
 
 Exit codes: 0 ok, 1 validation error, 2 verification failure, 3 internal
-invariant violation (a usage error is a validation error).  ``ECADD_SEED``
-provides the default seed of ``verify``.
+invariant violation (a usage error is a validation error, and so is a
+standard output that is closed before the command has written it).
+``ECADD_SEED`` provides the default seed of ``verify``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,16 @@ import os
 import sys
 
 from .ecoracle import AffinePoint, Curve, PointError
+from .fanout import fork_join
 from .gf2field import IrreduciblePoly, parse_element_text, parse_poly_text
 from .linmaps import matrix_of_sqrt, matrix_of_squaring
 from .pointaddsynth import (
     EXHAUSTIVE_MAX_N,
     OffCurveError,
     SynthesisError,
+    emit_point_add,
     multiplier_report,
+    score_point_add,
     synth_point_add,
     verify_point_add,
 )
@@ -46,7 +50,8 @@ NIST_POLYS = (
 
 # The largest field degree that ``synth`` and ``verify`` accept, checked
 # before the Rabin test: a generic-point ``synth`` of this degree stays
-# within half of the 60 s and 2 GB per-field gate (README).
+# within half of the 60 s and 2 GB per-field gate, even in one process
+# (README).
 MAX_DEGREE = 980
 
 EXIT_OK = 0
@@ -136,19 +141,27 @@ def cmd_synth(args) -> int:
     if not os.path.basename(base):
         raise ValidationError(f"--out {out!r} names no file")
     try:
-        circuit, report = synth_point_add(
+        circuit, work = emit_point_add(
             curve, p2, allow_off_curve=args.allow_off_curve)
     except OffCurveError as exc:
         raise ValidationError(
             f"{exc} (pass --allow-off-curve to synthesize anyway)") from exc
     except SynthesisError as exc:
         raise ValidationError(str(exc)) from exc
+
+    def report_text() -> bytes:
+        report = score_point_add(circuit, curve.field)
+        return (json.dumps(report_to_json(curve.field, report), indent=2)
+                + "\n").encode()
+
+    # The report only reads the circuit, so a child can score it while
+    # the .qc renders; neither file is written until its bounds pass.
+    report_json, qc = fork_join(
+        work, report_text, lambda: write_qc(circuit, clifford_t=args.decompose))
     qc_path = base + ".qc"
     report_path = base + ".report.json"
-    _write_file(qc_path, write_qc(circuit, clifford_t=args.decompose))
-    _write_file(report_path,
-                (json.dumps(report_to_json(curve.field, report), indent=2)
-                 + "\n").encode())
+    _write_file(qc_path, qc)
+    _write_file(report_path, report_json)
     print(f"wrote {qc_path} and {report_path}")
     return EXIT_OK
 
@@ -268,7 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of standard output has gone.  Point it at devnull so
+        # that the flush at exit does not fail again (the Python docs'
+        # advice for SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_VALIDATION
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 from .circuit_ir import CNOT, TOFFOLI, Circuit, CircuitError, GateRuns
 from .edgecolor import color_edges, graph_of_matrix
+from .fanout import fork_join
 from .gf2field import IrreduciblePoly
 from .linmaps import BinMatrix
 
@@ -62,8 +62,13 @@ def _require_disjoint(*regs: RegisterRef):
             seen.add(w)
 
 
-@lru_cache(maxsize=8)
-def _cnot_order(matrix: BinMatrix) -> tuple[array, array]:
+# The CNOT orders of the last ORDERS_KEPT matrices: the six distinct
+# maps of one point addition, with room to spare.
+ORDERS_KEPT = 8
+_orders: dict[BinMatrix, tuple[array, array]] = {}
+
+
+def _color_order(matrix: BinMatrix) -> tuple[array, array]:
     """The CNOTs of ``dst ^= M * src`` as (source column, target row)
     columns: color class by color class of a minimal edge coloring, each
     class in edge order."""
@@ -76,6 +81,56 @@ def _cnot_order(matrix: BinMatrix) -> tuple[array, array]:
         rows[color].append(j)
     return (array("I", chain.from_iterable(cols)),
             array("I", chain.from_iterable(rows)))
+
+
+def _keep(matrix: BinMatrix, order: tuple[array, array]):
+    _orders[matrix] = order
+    if len(_orders) > ORDERS_KEPT:
+        del _orders[next(iter(_orders))]
+
+
+def _cnot_order(matrix: BinMatrix) -> tuple[array, array]:
+    """``_color_order(matrix)``, worked out once per matrix."""
+    order = _orders.get(matrix)
+    if order is None:
+        order = _color_order(matrix)
+        _keep(matrix, order)
+    return order
+
+
+def _padded_edges(matrix: BinMatrix) -> int:
+    """The edges of the regular graph that ``color_edges`` colors for
+    this matrix: its nonzero rows or columns, whichever are more, times
+    its max degree."""
+    used = 0
+    for r in matrix.rows:
+        used |= r
+    side = max(used.bit_count(), sum(1 for r in matrix.rows if r))
+    return side * matrix.max_degree if side else 0
+
+
+def cnot_orders(matrices) -> int:
+    """Work out the CNOT orders of the distinct ``matrices`` that are not
+    cached yet, and return the coloring work of all of them, their
+    padded edges summed.
+
+    The matrices to color are split into two sets of about equal work,
+    largest first; ``fanout.fork_join`` colors one set in a child
+    process, when there is enough work, and the other here."""
+    work = {m: _padded_edges(m) for m in matrices}
+    sets: tuple[list, list] = ([], [])
+    loads = [0, 0]
+    for m in sorted((m for m in work if m not in _orders), key=work.get,
+                    reverse=True):
+        k = 1 if loads[1] < loads[0] else 0
+        sets[k].append(m)
+        loads[k] += work[m]
+    theirs, _ = fork_join(sum(loads),
+                          lambda: [_color_order(m) for m in sets[0]],
+                          lambda: [_cnot_order(m) for m in sets[1]])
+    for m, order in zip(sets[0], theirs):
+        _keep(m, order)
+    return sum(work.values())
 
 
 def synth_linear(circuit: Circuit, matrix: BinMatrix, src: RegisterRef,

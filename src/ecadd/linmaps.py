@@ -42,11 +42,27 @@ class BinMatrix:
     @property
     def max_degree(self) -> int:
         """Largest row or column weight (the CNOT-depth of the map)."""
-        cols = [0] * self.n
+        # The column weights as bit planes, bit i of planes[k] being bit
+        # k of column i's weight, summed row by row with a ripple carry.
+        planes: list[int] = []
         for r in self.rows:
-            for i in support_of(r):
-                cols[i] += 1
-        return max(max(r.bit_count() for r in self.rows), max(cols))
+            carry = r
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        # The largest, from the top plane down: where some column left
+        # has bit k, keep only the columns that have it.
+        cols, top = (1 << self.n) - 1, 0
+        for k in reversed(range(len(planes))):
+            if cols & planes[k]:
+                cols &= planes[k]
+                top |= 1 << k
+        return max(top, max(r.bit_count() for r in self.rows))
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
         if self.n != other.n:

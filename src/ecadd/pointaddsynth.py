@@ -50,13 +50,19 @@ from .ecoracle import (
 )
 from .fieldsynth import (
     add_register,
+    cnot_orders,
     standalone_multiplier,
     synth_add_inplace,
     synth_linear,
     synth_mult,
 )
 from .gf2field import IrreduciblePoly
-from .linmaps import matrix_of_const_mul, matrix_of_sqrt, matrix_of_squaring
+from .linmaps import (
+    BinMatrix,
+    matrix_of_const_mul,
+    matrix_of_sqrt,
+    matrix_of_squaring,
+)
 from .revsim import Simulator, to_lanes
 
 # Cases per simulator pass in verification (lane k is case k of a chunk);
@@ -98,6 +104,12 @@ def multiplier_report(field: IrreduciblePoly) -> ResourceReport:
     return metrics(standalone_multiplier(field))
 
 
+@lru_cache(maxsize=8)
+def _squaring(field: IrreduciblePoly) -> BinMatrix:
+    """The squaring matrix, which emission and the bounds both read."""
+    return matrix_of_squaring(field)
+
+
 def _linear_block(circuit, label, matrix, src, dst) -> tuple:
     """Emit one labeled linear block (an empty group for a zero matrix)
     and return its runs."""
@@ -114,19 +126,29 @@ def _replay(circuit, label, runs):
 def synth_point_add(curve: Curve, p2: AffinePoint, *,
                     allow_off_curve: bool = False
                     ) -> tuple[Circuit, ResourceReport]:
-    """Build the full 16-step addition circuit and its resource report.
+    """Build the full 16-step addition circuit and its resource report
+    (``emit_point_add``, then ``score_point_add``)."""
+    circuit, _ = emit_point_add(curve, p2, allow_off_curve=allow_off_curve)
+    return circuit, score_point_add(circuit, curve.field)
 
-    The circuit is at the Toffoli level; the report describes it, with
-    the T figures and the decomposed counts of its Clifford+T form.  To
-    write it at the Clifford+T level,
-    ``qcformat.write_qc(circuit, clifford_t=True)`` expands each Toffoli
-    as it writes it.
 
-    Each reversal block replays the runs of its forward block: IM
-    replays the step-7 product's runs reversed, as views of the same
-    columns, and ISM, IX, IS and Ia2 replay SM, X, S and a2 as they are,
-    since a linear block's CNOTs commute and it is its own inverse.  The
-    replayed blocks share the forward blocks' run objects.
+def emit_point_add(curve: Curve, p2: AffinePoint, *,
+                   allow_off_curve: bool = False) -> tuple[Circuit, int]:
+    """Build the full 16-step addition circuit, and return it with the
+    coloring work of its linear blocks (``fieldsynth.cnot_orders``).
+
+    The circuit is at the Toffoli level.  To write it at the Clifford+T
+    level, ``qcformat.write_qc(circuit, clifford_t=True)`` expands each
+    Toffoli as it writes it.
+
+    The CNOT orders of the six distinct linear maps are worked out
+    before the first block is emitted, split over two processes when
+    there is enough work.  Each reversal block replays the runs of its
+    forward block: IM replays the step-7 product's runs reversed, as
+    views of the same columns, and ISM, IX, IS and Ia2 replay SM, X, S
+    and a2 as they are, since a linear block's CNOTs commute and it is
+    its own inverse.  The replayed blocks share the forward blocks' run
+    objects.
     """
     if p2.is_infinity:
         raise SynthesisError("the fixed point P2 must be affine (not O)")
@@ -139,12 +161,13 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     n = fld.n
     x2, y2, a2 = p2.x, p2.y, curve.a2
 
-    m_sq = matrix_of_squaring(fld)
+    m_sq = _squaring(fld)
     m_sqrt = matrix_of_sqrt(fld)
     m_x2 = matrix_of_const_mul(x2)
     m_sm = matrix_of_const_mul(y2) @ m_sq
     m_xyz = matrix_of_const_mul(x2 + y2) @ m_sq
     m_a2 = matrix_of_const_mul(a2)
+    work = cnot_orders((m_sm, m_x2, m_sq, m_a2, m_xyz, m_sqrt))
 
     c = Circuit()
     regs = {name: add_register(c, name, n) for name in REGISTER_ORDER}
@@ -201,13 +224,19 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
     _replay(c, "IX", xz1_runs)
     # 16: reverse step 1
     _replay(c, "ISM", sm_runs)
+    return c, work
 
-    report = metrics(c)
-    g_s = m_sq.weight
-    d_s = m_sq.max_degree
-    bounds = check_bounds(report, n, multiplier_report(fld), g_s, d_s)
-    report = replace(report, bounds=bounds)
-    return c, report
+
+def score_point_add(circuit: Circuit,
+                    field: IrreduciblePoly) -> ResourceReport:
+    """The resource report of a point-addition circuit over ``field``:
+    its metrics, with the T figures and the decomposed counts of its
+    Clifford+T form, and its bounds checked (``check_bounds``)."""
+    report = metrics(circuit)
+    m_sq = _squaring(field)
+    bounds = check_bounds(report, field.n, multiplier_report(field),
+                          m_sq.weight, m_sq.max_degree)
+    return replace(report, bounds=bounds)
 
 
 def check_bounds(report: ResourceReport, n: int,

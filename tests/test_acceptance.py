@@ -207,11 +207,16 @@ def test_criterion_06_bound_audit_at_scale():
         if elapsed >= 60:
             slow.append(f"{name}: {elapsed:.1f}s")
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
-    ok = not slow and peak_gb < 2.0
+    # The colorings split over a forked child, which must stay within
+    # the same gate (the largest child this process has waited for).
+    child_gb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1e6
+    ok = not slow and peak_gb < 2.0 and child_gb < 2.0
     verdict(6, ok, f"all five fields within bounds; peak rss {peak_gb:.2f}GB"
+                   f", children {child_gb:.2f}GB"
                    + ("" if not slow else f"; too slow: {slow}"))
     assert not slow
     assert peak_gb < 2.0
+    assert child_gb < 2.0
 
 
 def test_criterion_07_trinomial_ceilings():

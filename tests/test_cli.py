@@ -128,10 +128,10 @@ class TestSynth:
 
     def test_bound_violation_is_internal_error(self, tmp_path, capsys,
                                                monkeypatch):
-        def violated(curve, p2, **kwargs):
+        def violated(*args):
             raise BoundViolation("depth: 9 > bound 8")
 
-        monkeypatch.setattr(cli, "synth_point_add", violated)
+        monkeypatch.setattr("ecadd.pointaddsynth.check_bounds", violated)
         out = tmp_path / "v.qc"
         assert main(synth_args(out)) == EXIT_INTERNAL
         assert capsys.readouterr().err \
@@ -419,6 +419,25 @@ def test_huge_exponent_refused(flag, job, tmp_path):
     assert re.fullmatch(rf"error: bad {flag}: exponent \d+ is above \d+\n",
                         proc.stderr)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["tables", "squaring"], TOY_JOB],
+                         ids=["tables", "synth"])
+def test_closed_stdout_is_a_validation_error(argv, tmp_path):
+    # The reader of standard output is gone before the command starts,
+    # as in `ecadd tables squaring | true`.
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecadd.cli", *argv], cwd=tmp_path, env=env,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr == "error: standard output is closed\n"
 
 
 @pytest.mark.parametrize("command", ["synth", "verify"])

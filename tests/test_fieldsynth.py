@@ -16,11 +16,13 @@ from conftest import (
     ref_identity,
     ref_max_degree,
 )
+from ecadd import fanout, fieldsynth
 from ecadd.circuit_ir import CNOT, CircuitError, metrics, reversed_runs
 from ecadd.ecoracle import Curve, random_point
 from ecadd.edgecolor import color_edges, graph_of_matrix
 from ecadd.fieldsynth import (
     RegisterOverlap,
+    cnot_orders,
     new_circuit,
     standalone_multiplier,
     synth_add_inplace,
@@ -154,6 +156,20 @@ class TestPinnedLayers:
     def test_emitted_run_follows_layers(self, m):
         g = graph_of_matrix(m)
         assert_run_follows_layers(m, color_edges(g).layers(g))
+
+
+class TestForkedOrders:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(square_matrices(), min_size=1, max_size=6))
+    def test_forked_orders_equal_in_process(self, matrices):
+        # With no fork threshold, a child colors one share of the
+        # matrices and this process the other.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fanout, "FANOUT_MIN_EDGES", 0)
+            mp.setattr(fieldsynth, "_orders", {})
+            cnot_orders(matrices)
+            forked = fieldsynth._orders
+        assert forked == {m: fieldsynth._color_order(m) for m in matrices}
 
 
 class TestFieldOps:

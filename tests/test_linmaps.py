@@ -44,8 +44,9 @@ class TestBinMatrix:
         assert BinMatrix(3, (0, 0, 0)).max_degree == 0
         # Column 0 is full while every row has weight 1 or 2.
         assert BinMatrix(3, (0b001, 0b011, 0b101)).max_degree == 3
+        # Up to n = 40, so that column weights take up to six bits.
         for _ in range(50):
-            n = rng.randint(1, 12)
+            n = rng.randint(1, 40)
             m = BinMatrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
             entries = ref_entries(m)
             assert m.weight == len(entries)
