@@ -38,6 +38,7 @@ pass.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import groupby, islice
@@ -73,7 +74,7 @@ TOFFOLI_TEMPLATE = (
 
 # Per-Toffoli contributions of the template, used for the exact
 # Clifford+T gate counts and the block-accounted depth and T-depth.
-TOFFOLI_DECOMP_COUNTS = {CNOT: 6, H: 2, T: 4, T_DAGGER: 3}
+TOFFOLI_DECOMP_COUNTS = Counter(kind for kind, *_ in TOFFOLI_TEMPLATE)
 TOFFOLI_DECOMP_DEPTH = 8
 TOFFOLI_DECOMP_T_DEPTH = 4
 

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 ok, 1 validation error, 2 verification failure, 3 internal
 invariant violation (a usage error is a validation error, and so is a
-standard output that is closed before the command has written it).
+standard output that is closed or full before the command has written
+it).
 ``ECADD_SEED`` provides the default seed of ``verify``.
 """
 
@@ -134,6 +135,24 @@ def _write_file(path: str, data: bytes):
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _say(text: str):
+    """Write ``text`` to standard output and flush it.  A standard output
+    that cannot take it, closed or full, is a validation error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point standard output at devnull so that the flush at exit
+        # does not fail again (the Python docs' advice for SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise ValidationError("standard output is closed") from None
+        raise ValidationError(
+            f"cannot write standard output: {exc.strerror}") from None
+
+
 def cmd_synth(args) -> int:
     curve, p2 = _job_from_args(args)
     out = args.out
@@ -141,8 +160,8 @@ def cmd_synth(args) -> int:
     if not os.path.basename(base):
         raise ValidationError(f"--out {out!r} names no file")
     try:
-        circuit, work = emit_point_add(
-            curve, p2, allow_off_curve=args.allow_off_curve)
+        circuit = emit_point_add(curve, p2,
+                                 allow_off_curve=args.allow_off_curve)
     except OffCurveError as exc:
         raise ValidationError(
             f"{exc} (pass --allow-off-curve to synthesize anyway)") from exc
@@ -156,13 +175,13 @@ def cmd_synth(args) -> int:
 
     # The report only reads the circuit, so a child can score it while
     # the .qc renders; neither file is written until its bounds pass.
-    report_json, qc = fork_join(
-        work, report_text, lambda: write_qc(circuit, clifford_t=args.decompose))
+    report_json, qc = fork_join(curve.field.n, report_text, lambda: write_qc(
+        circuit, clifford_t=args.decompose))
     qc_path = base + ".qc"
     report_path = base + ".report.json"
     _write_file(qc_path, qc)
     _write_file(report_path, report_json)
-    print(f"wrote {qc_path} and {report_path}")
+    _say(f"wrote {qc_path} and {report_path}\n")
     return EXIT_OK
 
 
@@ -197,7 +216,7 @@ def cmd_tables(args) -> int:
         _write_file(args.json, (json.dumps(
             {"schema": 1, "kind": args.kind, "rows": rows}, indent=2)
             + "\n").encode())
-    sys.stdout.write(format_table(args.kind, rows))
+    _say(format_table(args.kind, rows))
     return EXIT_OK
 
 
@@ -220,7 +239,7 @@ def cmd_verify(args) -> int:
     except SynthesisError as exc:
         raise ValidationError(str(exc)) from exc
     if result.ok:
-        print(f"PASS: {result.cases} cases match the oracle")
+        _say(f"PASS: {result.cases} cases match the oracle\n")
         return EXIT_OK
     print(f"FAIL after {result.cases} cases: {result.failure}", file=sys.stderr)
     return EXIT_VERIFY_FAIL
@@ -281,18 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # The reader of standard output has gone.  Point it at devnull so
-        # that the flush at exit does not fail again (the Python docs'
-        # advice for SIGPIPE).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: standard output is closed", file=sys.stderr)
-        return EXIT_VALIDATION
+        if sys.stdout is None:  # started with no descriptor 1
+            raise ValidationError("standard output is closed")
+        return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

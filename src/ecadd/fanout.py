@@ -10,27 +10,28 @@ from __future__ import annotations
 
 import os
 
-# The least coloring work, in padded edges (vertices x max degree summed
-# over a point addition's distinct matrices), that is worth a fork.  On
-# 2 vCPUs both sites cost the same in process and forked near 5,000
-# edges (n = 48 to 52, about 12 ms a site).  A job of n <= 19 has at
-# most about 1,500 edges and takes 2 ms a site in process, 5 ms forked;
-# a B163 job has about 65,000, and forked its colorings take 0.61x and
-# its report and write 0.69x of the time in process.
-FANOUT_MIN_EDGES = 5_000
+# The least field degree at which a job forks.  On 2 vCPUs, with the
+# second one free, both sites of a synth job cost the same in process
+# and forked near 5,000 padded coloring edges, which n = 46 to 52 reach,
+# at about 12 ms a site.  A job of n <= 19 takes 2 ms a site in process
+# and 5 ms forked; a B163 job forked takes 0.61x for its colorings and
+# 0.69x for its report and write.  With the second vCPU busy a fork
+# pays at no n: a whole B163 synth then took 1.04-1.07x as long forked.
+FANOUT_MIN_DEGREE = 50
 
 
-def fork_join(work: int, child, parent) -> tuple:
-    """``(child(), parent())``, with ``child()`` run in a forked process
-    while ``parent()`` runs here, when ``work`` is at least
-    FANOUT_MIN_EDGES; otherwise both run here, ``child()`` first.
+def fork_join(n: int, child, parent) -> tuple:
+    """``(child(), parent())`` for a job over a field of degree ``n``,
+    with ``child()`` run in a forked process while ``parent()`` runs
+    here when n is at least FANOUT_MIN_DEGREE; otherwise both run here,
+    ``child()`` first.
 
     An exception in the child is raised here, with its type and message;
     a failed fork, or a child that ends without a result, raises
     RuntimeError.  The child is reaped on every path, killed first if
     ``parent()`` raises.
     """
-    if work < FANOUT_MIN_EDGES:
+    if n < FANOUT_MIN_DEGREE:
         return child(), parent()
     # Loaded here, not with the module: a job too small to fork has no
     # use for them, and pickle adds 0.35 MB to its 17 MB peak.

@@ -62,9 +62,7 @@ def _require_disjoint(*regs: RegisterRef):
             seen.add(w)
 
 
-# The CNOT orders of the last ORDERS_KEPT matrices: the six distinct
-# maps of one point addition, with room to spare.
-ORDERS_KEPT = 8
+# The CNOT orders of the current job's distinct matrices (cnot_orders).
 _orders: dict[BinMatrix, tuple[array, array]] = {}
 
 
@@ -83,21 +81,6 @@ def _color_order(matrix: BinMatrix) -> tuple[array, array]:
             array("I", chain.from_iterable(rows)))
 
 
-def _keep(matrix: BinMatrix, order: tuple[array, array]):
-    _orders[matrix] = order
-    if len(_orders) > ORDERS_KEPT:
-        del _orders[next(iter(_orders))]
-
-
-def _cnot_order(matrix: BinMatrix) -> tuple[array, array]:
-    """``_color_order(matrix)``, worked out once per matrix."""
-    order = _orders.get(matrix)
-    if order is None:
-        order = _color_order(matrix)
-        _keep(matrix, order)
-    return order
-
-
 def _padded_edges(matrix: BinMatrix) -> int:
     """The edges of the regular graph that ``color_edges`` colors for
     this matrix: its nonzero rows or columns, whichever are more, times
@@ -109,28 +92,27 @@ def _padded_edges(matrix: BinMatrix) -> int:
     return side * matrix.max_degree if side else 0
 
 
-def cnot_orders(matrices) -> int:
-    """Work out the CNOT orders of the distinct ``matrices`` that are not
-    cached yet, and return the coloring work of all of them, their
-    padded edges summed.
+def cnot_orders(matrices):
+    """Work out the CNOT orders of a job's distinct ``matrices``, all of
+    one degree, and keep them, in place of the last job's, for
+    ``synth_linear``.
 
-    The matrices to color are split into two sets of about equal work,
-    largest first; ``fanout.fork_join`` colors one set in a child
-    process, when there is enough work, and the other here."""
+    The matrices are split into two sets of about equal work, by padded
+    edges, largest first; ``fanout.fork_join`` colors one set in a child
+    process, when the degree is large enough, and the other here."""
     work = {m: _padded_edges(m) for m in matrices}
     sets: tuple[list, list] = ([], [])
     loads = [0, 0]
-    for m in sorted((m for m in work if m not in _orders), key=work.get,
-                    reverse=True):
+    for m in sorted(work, key=work.get, reverse=True):
         k = 1 if loads[1] < loads[0] else 0
         sets[k].append(m)
         loads[k] += work[m]
-    theirs, _ = fork_join(sum(loads),
-                          lambda: [_color_order(m) for m in sets[0]],
-                          lambda: [_cnot_order(m) for m in sets[1]])
-    for m, order in zip(sets[0], theirs):
-        _keep(m, order)
-    return sum(work.values())
+    theirs, mine = fork_join(matrices[0].n,
+                             lambda: [_color_order(m) for m in sets[0]],
+                             lambda: [_color_order(m) for m in sets[1]])
+    _orders.clear()
+    _orders.update(zip(sets[0], theirs))
+    _orders.update(zip(sets[1], mine))
 
 
 def synth_linear(circuit: Circuit, matrix: BinMatrix, src: RegisterRef,
@@ -138,12 +120,13 @@ def synth_linear(circuit: Circuit, matrix: BinMatrix, src: RegisterRef,
     """Append ``dst ^= M * src`` (weight(M) CNOTs, depth max_degree(M))
     as one CNOT run, layer by layer, and return it.  Its CNOTs commute
     and src and dst are disjoint, so a caller may replay the run to undo
-    the block.  The CNOT order is worked out once per matrix and cached,
-    so blocks of the same map share one edge coloring."""
+    the block.  The CNOT order is the one ``cnot_orders`` planned for
+    the job, so blocks of the same map share one edge coloring; an
+    unplanned matrix is colored here and not kept."""
     if matrix.n != src.n or matrix.n != dst.n:
         raise CircuitError("matrix dimension does not match register width")
     _require_disjoint(src, dst)
-    cols, rows = _cnot_order(matrix)
+    cols, rows = _orders.get(matrix) or _color_order(matrix)
     block = GateRuns(((CNOT, (array("I", map(src.wires.__getitem__, cols)),
                               array("I", map(dst.wires.__getitem__, rows)))),))
     circuit.add_runs(block.runs)

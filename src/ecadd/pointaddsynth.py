@@ -58,7 +58,6 @@ from .fieldsynth import (
 )
 from .gf2field import IrreduciblePoly
 from .linmaps import (
-    BinMatrix,
     matrix_of_const_mul,
     matrix_of_sqrt,
     matrix_of_squaring,
@@ -104,12 +103,6 @@ def multiplier_report(field: IrreduciblePoly) -> ResourceReport:
     return metrics(standalone_multiplier(field))
 
 
-@lru_cache(maxsize=8)
-def _squaring(field: IrreduciblePoly) -> BinMatrix:
-    """The squaring matrix, which emission and the bounds both read."""
-    return matrix_of_squaring(field)
-
-
 def _linear_block(circuit, label, matrix, src, dst) -> tuple:
     """Emit one labeled linear block (an empty group for a zero matrix)
     and return its runs."""
@@ -128,27 +121,26 @@ def synth_point_add(curve: Curve, p2: AffinePoint, *,
                     ) -> tuple[Circuit, ResourceReport]:
     """Build the full 16-step addition circuit and its resource report
     (``emit_point_add``, then ``score_point_add``)."""
-    circuit, _ = emit_point_add(curve, p2, allow_off_curve=allow_off_curve)
+    circuit = emit_point_add(curve, p2, allow_off_curve=allow_off_curve)
     return circuit, score_point_add(circuit, curve.field)
 
 
 def emit_point_add(curve: Curve, p2: AffinePoint, *,
-                   allow_off_curve: bool = False) -> tuple[Circuit, int]:
-    """Build the full 16-step addition circuit, and return it with the
-    coloring work of its linear blocks (``fieldsynth.cnot_orders``).
+                   allow_off_curve: bool = False) -> Circuit:
+    """Build the full 16-step addition circuit.
 
     The circuit is at the Toffoli level.  To write it at the Clifford+T
     level, ``qcformat.write_qc(circuit, clifford_t=True)`` expands each
     Toffoli as it writes it.
 
     The CNOT orders of the six distinct linear maps are worked out
-    before the first block is emitted, split over two processes when
-    there is enough work.  Each reversal block replays the runs of its
-    forward block: IM replays the step-7 product's runs reversed, as
-    views of the same columns, and ISM, IX, IS and Ia2 replay SM, X, S
-    and a2 as they are, since a linear block's CNOTs commute and it is
-    its own inverse.  The replayed blocks share the forward blocks' run
-    objects.
+    before the first block is emitted (``fieldsynth.cnot_orders``),
+    split over two processes when the field is large enough.  Each
+    reversal block replays the runs of its forward block: IM replays the
+    step-7 product's runs reversed, as views of the same columns, and
+    ISM, IX, IS and Ia2 replay SM, X, S and a2 as they are, since a
+    linear block's CNOTs commute and it is its own inverse.  The
+    replayed blocks share the forward blocks' run objects.
     """
     if p2.is_infinity:
         raise SynthesisError("the fixed point P2 must be affine (not O)")
@@ -161,13 +153,13 @@ def emit_point_add(curve: Curve, p2: AffinePoint, *,
     n = fld.n
     x2, y2, a2 = p2.x, p2.y, curve.a2
 
-    m_sq = _squaring(fld)
+    m_sq = matrix_of_squaring(fld)
     m_sqrt = matrix_of_sqrt(fld)
     m_x2 = matrix_of_const_mul(x2)
     m_sm = matrix_of_const_mul(y2) @ m_sq
     m_xyz = matrix_of_const_mul(x2 + y2) @ m_sq
     m_a2 = matrix_of_const_mul(a2)
-    work = cnot_orders((m_sm, m_x2, m_sq, m_a2, m_xyz, m_sqrt))
+    cnot_orders((m_sm, m_x2, m_sq, m_a2, m_xyz, m_sqrt))
 
     c = Circuit()
     regs = {name: add_register(c, name, n) for name in REGISTER_ORDER}
@@ -224,7 +216,7 @@ def emit_point_add(curve: Curve, p2: AffinePoint, *,
     _replay(c, "IX", xz1_runs)
     # 16: reverse step 1
     _replay(c, "ISM", sm_runs)
-    return c, work
+    return c
 
 
 def score_point_add(circuit: Circuit,
@@ -233,7 +225,7 @@ def score_point_add(circuit: Circuit,
     its metrics, with the T figures and the decomposed counts of its
     Clifford+T form, and its bounds checked (``check_bounds``)."""
     report = metrics(circuit)
-    m_sq = _squaring(field)
+    m_sq = matrix_of_squaring(field)
     bounds = check_bounds(report, field.n, multiplier_report(field),
                           m_sq.weight, m_sq.max_degree)
     return replace(report, bounds=bounds)
@@ -397,6 +389,14 @@ def verify_point_add(circuit: Circuit, curve: Curve, p2: AffinePoint,
     # without saying anything about the group law.
     if not on_curve_affine(curve, p2):
         raise OffCurveError("P2 is not on the curve")
+    # By the Hasse bound a curve over F_{2^n} has at least
+    # 2^n + 1 - 2^(n/2 + 1) points, four or more for n > 2, so only a
+    # smaller field can lack a point besides O, P2 and -P2.  The check
+    # draws nothing from the seeded RNG.
+    if n <= 2 and not any(_generic(p, p2) for p in all_affine_points(curve)):
+        raise SynthesisError(
+            "no generic-case input to verify: every affine point of the "
+            "curve is P2 or -P2")
     sim = Simulator(circuit)
     inputs = (exhaustive_inputs(curve, p2) if exhaustive
               else _sampled_inputs(curve, p2, samples, seed))
@@ -406,8 +406,4 @@ def verify_point_add(circuit: Circuit, curve: Curve, p2: AffinePoint,
         if fail:
             return VerifyResult(False, cases + fail[0] + 1, fail[1])
         cases += len(chunk)
-    if cases == 0:
-        raise SynthesisError(
-            "no generic-case input to verify: every affine point of the "
-            "curve is P2 or -P2")
     return VerifyResult(True, cases)

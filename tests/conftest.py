@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+import signal
 from collections import Counter
 
 import pytest
@@ -605,6 +606,19 @@ def ref_verify_point_add(circuit, curve, p2, exhaustive=False, samples=1000,
 # ----------------------------------------------------------------------
 # Fixtures
 # ----------------------------------------------------------------------
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 60 s, a hung wait among them."""
+    def expired(signum, frame):
+        raise TimeoutError("the test ran past its deadline")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
 
 @pytest.fixture
 def f8():

@@ -10,6 +10,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +44,9 @@ B163_VERIFY = [
     "--y2", "0xd51fbc6c71a0094fa2cdd545b11c5c0c797324f1",
     "--samples", "128"]
 TOY_JOB = synth_args("add.qc")
+# A curve whose only affine points are P2 and -P2.
+PLUS_MINUS_ONLY = ["--poly", "1+x", "--a2", "0x1", "--a6", "0x1",
+                   "--x2", "0x0", "--y2", "0x1"]
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
@@ -316,6 +320,20 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "no generic-case input" in captured.err
 
+    def test_sampled_without_generic_case_fails_at_once(self, deadline,
+                                                        capsys):
+        # This used to draw 100 attempts a sample, 64 s in all, before it
+        # gave up with another message.
+        start = time.monotonic()
+        code = main(["verify", *PLUS_MINUS_ONLY, "--samples", "100000"])
+        assert time.monotonic() - start < 5
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no generic-case input to verify: every affine point "
+            "of the curve is P2 or -P2\n")
+
     def test_off_curve_point_rejected(self, capsys):
         # No per-case check reads a6, so this P2 would pass all 200
         # cases.  --allow-off-curve is a synth flag only.
@@ -421,23 +439,57 @@ def test_huge_exponent_refused(flag, job, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [["tables", "squaring"], TOY_JOB],
-                         ids=["tables", "synth"])
-def test_closed_stdout_is_a_validation_error(argv, tmp_path):
+def closed_pipe():
     # The reader of standard output is gone before the command starts,
     # as in `ecadd tables squaring | true`.
-    src = pathlib.Path(cli.__file__).parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
     read_end, write_end = os.pipe()
     os.close(read_end)
+    return write_end, None
+
+
+def full_device():
+    # As in `ecadd tables squaring >/dev/full`.
+    return os.open("/dev/full", os.O_WRONLY), None
+
+
+def closed_descriptor():
+    # As in `ecadd tables squaring >&-`: Python starts with no
+    # sys.stdout.
+    return None, lambda: os.close(1)
+
+
+STDOUTS = {
+    "": (closed_pipe, "standard output is closed"),
+    "-full": (full_device,
+              "cannot write standard output: No space left on device"),
+    "-closed-descriptor": (closed_descriptor, "standard output is closed"),
+}
+COMMANDS = {
+    "tables": ["tables", "squaring"],
+    "synth": TOY_JOB,
+    "verify": ["verify", *TOY_JOB[1:-2], "--samples", "8"],
+}
+
+
+@pytest.mark.parametrize("argv, stdout, message", [
+    pytest.param(argv, *how, id=command + kind)
+    for kind, how in STDOUTS.items() for command, argv in COMMANDS.items()
+])
+def test_closed_stdout_is_a_validation_error(argv, stdout, message,
+                                             tmp_path):
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    fd, before_exec = stdout()
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "ecadd.cli", *argv], cwd=tmp_path, env=env,
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+            stdout=fd, stderr=subprocess.PIPE, text=True, timeout=60,
+            preexec_fn=before_exec)
     finally:
-        os.close(write_end)
+        if fd is not None:
+            os.close(fd)
     assert proc.returncode == EXIT_VALIDATION
-    assert proc.stderr == "error: standard output is closed\n"
+    assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["synth", "verify"])
@@ -462,9 +514,10 @@ def test_degree_above_cap_refused(command, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# The CLI census: argv built from fragments, n <= 8.  The number after
-# each modulus is the degree used to draw its elements.  The bad moduli
-# are a reducible one, degree-0 and degree-1 ones and bad text.
+# The CLI census: argv built from fragments, n <= 8, or a job on the
+# PLUS_MINUS_ONLY curve.  The number after each modulus is the degree
+# used to draw its elements.  The bad moduli are a reducible one,
+# degree-0 and degree-1 ones and bad text.
 GOOD_MODULI = (("1+x+x^2", 2), ("1+x+x^3", 3), ("1+x+x^4", 4),
                ("1+x^2+x^5", 5), ("1+x+x^6", 6), ("1+x+x^7", 7),
                ("1+x+x^3+x^4+x^8", 8))
@@ -500,14 +553,8 @@ def census_point(poly, a2, a6, seed):
 
 
 @st.composite
-def census_argvs(draw, paths):
-    command = draw(st.sampled_from(("synth", "verify", "tables")))
-    if command == "tables":
-        argv = ["tables", draw(st.sampled_from(("squaring", "sqrt", "cube")))]
-        if draw(st.booleans()):
-            argv += ["--json", draw(mostly(st.just(paths[0]),
-                                           st.sampled_from(paths[1:])))]
-        return argv
+def census_curve(draw, command):
+    """(argv, n): ``command`` with a curve and P2 drawn from fragments."""
     poly, n = draw(mostly(st.sampled_from(GOOD_MODULI),
                           st.sampled_from(BAD_MODULI)))
     a2, a6 = draw(census_element(n)), draw(census_element(n))
@@ -516,8 +563,21 @@ def census_argvs(draw, paths):
         point = census_point(poly, a2, a6, draw(st.integers(0, 99)))
     if point is None:  # most likely off the curve
         point = [draw(census_element(n)), draw(census_element(n))]
-    argv = [command, "--poly", poly, "--a2", a2, "--a6", a6,
-            "--x2", point[0], "--y2", point[1]]
+    return [command, "--poly", poly, "--a2", a2, "--a6", a6,
+            "--x2", point[0], "--y2", point[1]], n
+
+
+@st.composite
+def census_argvs(draw, paths):
+    command = draw(st.sampled_from(("synth", "verify", "tables")))
+    if command == "tables":
+        argv = ["tables", draw(st.sampled_from(("squaring", "sqrt", "cube")))]
+        if draw(st.booleans()):
+            argv += ["--json", draw(mostly(st.just(paths[0]),
+                                           st.sampled_from(paths[1:])))]
+        return argv
+    argv, n = draw(mostly(census_curve(command), st.just(
+        ([command, *PLUS_MINUS_ONLY], 1))))
     if command == "synth":
         argv += ["--out", draw(mostly(st.just(paths[0]),
                                       st.sampled_from(paths[1:])))]

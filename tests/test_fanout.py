@@ -3,14 +3,16 @@ every failure in a child ends as it would in the parent, with the child
 reaped."""
 
 import os
-import signal
+import random
 import time
 
 import pytest
 
 import ecadd.pointaddsynth as pas
+from conftest import first_irreducible
 from ecadd import fanout, fieldsynth
 from ecadd.cli import EXIT_INTERNAL, EXIT_OK, main
+from ecadd.ecoracle import Curve, random_point
 from ecadd.pointaddsynth import BoundViolation
 
 IN_PROCESS = 10**12
@@ -23,19 +25,6 @@ B163 = ["synth", "--poly", "1+x^3+x^6+x^7+x^163", "--a2", "0x1",
         "--y2", "0xd51fbc6c71a0094fa2cdd545b11c5c0c797324f1"]
 
 
-@pytest.fixture
-def deadline():
-    """Fail a test that runs past 60 s, a hung wait among them."""
-    def expired(signum, frame):
-        raise TimeoutError("the test ran past its deadline")
-
-    old = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, old)
-
-
 def assert_no_child_left():
     # Raises when this process has no child at all, reaped or not.
     with pytest.raises(ChildProcessError):
@@ -44,9 +33,8 @@ def assert_no_child_left():
 
 def run_synth(argv, limit, monkeypatch, capsys):
     """(exit code, stdout, stderr) of ``main(argv)`` with the fork
-    threshold at ``limit`` and no CNOT order cached."""
-    monkeypatch.setattr(fanout, "FANOUT_MIN_EDGES", limit)
-    monkeypatch.setattr(fieldsynth, "_orders", {})
+    threshold at ``limit``."""
+    monkeypatch.setattr(fanout, "FANOUT_MIN_DEGREE", limit)
     capsys.readouterr()
     code = main(argv)
     out, err = capsys.readouterr()
@@ -55,14 +43,14 @@ def run_synth(argv, limit, monkeypatch, capsys):
 
 class TestForkJoin:
     def test_results_in_order(self, deadline, monkeypatch):
-        monkeypatch.setattr(fanout, "FANOUT_MIN_EDGES", 0)
+        monkeypatch.setattr(fanout, "FANOUT_MIN_DEGREE", 0)
         parent = os.getpid()
         assert fanout.fork_join(0, os.getpid, os.getpid)[1] == parent
         assert fanout.fork_join(0, os.getpid, os.getpid)[0] != parent
         assert_no_child_left()
 
     def test_below_threshold_runs_here_child_first(self, monkeypatch):
-        monkeypatch.setattr(fanout, "FANOUT_MIN_EDGES", 10)
+        monkeypatch.setattr(fanout, "FANOUT_MIN_DEGREE", 10)
         calls = []
         assert fanout.fork_join(9, lambda: calls.append("child") or 1,
                                 lambda: calls.append("parent") or 2) == (1, 2)
@@ -73,7 +61,7 @@ class TestForkJoin:
         def child():
             raise BoundViolation("depth: achieved 9 vs bound 8")
 
-        monkeypatch.setattr(fanout, "FANOUT_MIN_EDGES", 0)
+        monkeypatch.setattr(fanout, "FANOUT_MIN_DEGREE", 0)
         with pytest.raises(BoundViolation, match="^depth: achieved 9 vs bound 8$"):
             fanout.fork_join(0, child, lambda: None)
         assert_no_child_left()
@@ -83,7 +71,7 @@ class TestForkJoin:
         def parent():
             raise ValueError("parent failed")
 
-        monkeypatch.setattr(fanout, "FANOUT_MIN_EDGES", 0)
+        monkeypatch.setattr(fanout, "FANOUT_MIN_DEGREE", 0)
         start = time.monotonic()
         with pytest.raises(ValueError, match="parent failed"):
             fanout.fork_join(0, lambda: time.sleep(50), parent)
@@ -103,6 +91,42 @@ class TestForkJoin:
         assert err == ("internal error: cannot fork: "
                        "[Errno 11] Resource temporarily unavailable\n")
         assert list(tmp_path.iterdir()) == []
+
+
+def curve_args(command, fld, seed):
+    """``command`` on y^2 + xy = x^3 + x^2 + 1 over ``fld``, with P2 a
+    seeded random point."""
+    curve = Curve(fld.one(), fld.one())
+    p2 = random_point(curve, random.Random(seed))
+    return [command, "--poly", str(fld), "--a2", "0x1", "--a6", "0x1",
+            "--x2", hex(p2.x.value), "--y2", hex(p2.y.value)]
+
+
+class TestForksPerCommand:
+    """The field degree alone decides: the small jobs run in one process,
+    and a B163 job forks its colorings and, in ``synth``, its report."""
+
+    @pytest.mark.parametrize("argv, forks", [
+        (TOY + ["--out", "a.qc"], 0),
+        (curve_args("verify", first_irreducible(19), 19)
+         + ["--samples", "16"], 0),
+        (["verify"] + B163[1:] + ["--samples", "16"], 1),
+        (B163 + ["--out", "a.qc"], 2),
+    ], ids=["toy-synth", "n19-verify", "b163-verify", "b163-synth"])
+    def test_fork_count(self, argv, forks, deadline, tmp_path, monkeypatch,
+                        capsys):
+        real = fanout.os.fork
+        calls = []
+
+        def counted():
+            calls.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(fanout.os, "fork", counted)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_OK
+        assert len(calls) == forks
+        assert_no_child_left()
 
 
 class TestSameBytes:

@@ -36,6 +36,7 @@ from ecadd.linmaps import (
     matrix_of_sqrt,
     matrix_of_squaring,
 )
+from ecadd.pointaddsynth import emit_point_add
 from ecadd.revsim import Simulator
 
 
@@ -165,11 +166,25 @@ class TestForkedOrders:
         # With no fork threshold, a child colors one share of the
         # matrices and this process the other.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fanout, "FANOUT_MIN_EDGES", 0)
-            mp.setattr(fieldsynth, "_orders", {})
+            mp.setattr(fanout, "FANOUT_MIN_DEGREE", 0)
             cnot_orders(matrices)
-            forked = fieldsynth._orders
-        assert forked == {m: fieldsynth._color_order(m) for m in matrices}
+        assert fieldsynth._orders == {m: fieldsynth._color_order(m)
+                                      for m in matrices}
+
+    def test_orders_live_for_one_job(self):
+        # The second job's orders replace the first's, on any field.
+        for n in (5, 3):
+            fld = first_irreducible(n)
+            curve = Curve(fld.one(), fld.one())
+            p2 = random_point(curve, random.Random(n))
+            emit_point_add(curve, p2)
+        sq = matrix_of_squaring(fld)
+        job = {sq, matrix_of_sqrt(fld), matrix_of_const_mul(p2.x),
+               matrix_of_const_mul(p2.y) @ sq,
+               matrix_of_const_mul(p2.x + p2.y) @ sq,
+               matrix_of_const_mul(curve.a2)}
+        assert fieldsynth._orders == {m: fieldsynth._color_order(m)
+                                      for m in job}
 
 
 class TestFieldOps:
